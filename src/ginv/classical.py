@@ -24,10 +24,11 @@ from .matrix import (
     rank,
 )
 from .pinv import mp_inverse
+from .verify import InverseKind, verified
 
 
-def group_inverse(a: Matrix) -> Matrix:
-    """The commuting reflexive inverse; exists iff rank(a) = rank(a^2)."""
+def group_candidate(a: Matrix) -> Matrix:
+    """f (g f)^-2 g from a full-rank factorization a = f g; not verified."""
     if not a.is_square:
         raise DimensionError("group inverse is defined for square matrices")
     frf = full_rank_factorize(a)
@@ -38,32 +39,26 @@ def group_inverse(a: Matrix) -> Matrix:
         raise NotGroupInvertibleError(
             f"rank(a^2) = {rank(a.matmul(a))} < rank(a) = {frf.rank}"
         ) from None
-    x = frf.f.matmul(middle).matmul(middle).matmul(frf.g)
-    for name, lhs, rhs in (
-        ("xax=x", x.matmul(a).matmul(x), x),
-        ("axa=a", a.matmul(x).matmul(a), a),
-        ("ax=xa", a.matmul(x), x.matmul(a)),
-    ):
-        if lhs != rhs:
-            raise VerificationError(f"group inverse failed {name}")
-    return x
+    return frf.f.matmul(middle).matmul(middle).matmul(frf.g)
 
 
-def drazin_inverse(a: Matrix) -> Matrix:
-    """a^D = a^k (a^(2k+1))+ a^k with k the index; verified before returning."""
+def group_inverse(a: Matrix) -> Matrix:
+    """The commuting reflexive inverse; exists iff rank(a) = rank(a^2)."""
+    return verified(InverseKind.GROUP, a, group_candidate(a))
+
+
+def drazin_candidate(a: Matrix) -> Matrix:
+    """a^k (a^(2k+1))+ a^k with k the index; not verified."""
     if not a.is_square:
         raise DimensionError("Drazin inverse is defined for square matrices")
     _, k = nilpotency_and_index(a)
     ak = a**k
-    x = ak.matmul(mp_inverse(a ** (2 * k + 1))).matmul(ak)
-    for name, lhs, rhs in (
-        ("ax=xa", a.matmul(x), x.matmul(a)),
-        ("a^(k+1)x=a^k", (a ** (k + 1)).matmul(x), ak),
-        ("xax=x", x.matmul(a).matmul(x), x),
-    ):
-        if lhs != rhs:
-            raise VerificationError(f"Drazin inverse failed {name}")
-    return x
+    return ak.matmul(mp_inverse(a ** (2 * k + 1))).matmul(ak)
+
+
+def drazin_inverse(a: Matrix) -> Matrix:
+    """a^D = a^k (a^(2k+1))+ a^k with k the index; verified before returning."""
+    return verified(InverseKind.DRAZIN, a, drazin_candidate(a))
 
 
 @dataclass(frozen=True)

@@ -23,18 +23,18 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .classical import core_ep_decompose, drazin_inverse, group_inverse, weak_mp_inverse
+from .classical import core_ep_decompose, drazin_candidate, group_candidate, weak_mp_inverse
 from .errors import (
     DimensionError,
     GinvError,
     ParseError,
     UsageError,
 )
-from .hgroup import BcPair, bc_inverse, hgroup_inverse, two_inverse_prescribed
+from .hgroup import BcPair, bc_candidate, hgroup_candidate, two_candidate
 from .matrix import Matrix, image_of, kernel_of
 from .pinv import mp_inverse
 from .scalar import scalar_format, scalar_parse
-from .verify import AxiomReport, InverseKind, check_axioms, residual_summary
+from .verify import InverseKind, check_axioms, residual_summary
 from .weak_hgroup import weak_hgroup_inverse
 
 KINDS = {kind.value: kind for kind in InverseKind}
@@ -121,10 +121,6 @@ def emit_document(report: dict) -> str:
     return json.dumps(ordered, indent=2, ensure_ascii=True) + "\n"
 
 
-def _checks_payload(report: AxiomReport) -> list[dict]:
-    return [{"name": c.name, "holds": c.holds} for c in report.checks]
-
-
 # -- command execution ---------------------------------------------------------
 
 
@@ -144,34 +140,30 @@ def _require(req: CommandRequest, field: str) -> str:
     return value
 
 
-def _compute(req: CommandRequest, a: Matrix):
-    kind = KINDS[req.kind]
-    extras = {}
-    if kind is InverseKind.MP:
-        result = mp_inverse(a)
-    elif kind is InverseKind.WEAK_MP:
-        result = weak_mp_inverse(a)
-    elif kind is InverseKind.GROUP:
-        result = group_inverse(a)
-    elif kind is InverseKind.DRAZIN:
-        result = drazin_inverse(a)
-    elif kind is InverseKind.HGROUP:
-        result = hgroup_inverse(a)
-    elif kind is InverseKind.WEAK_HGROUP:
-        result = weak_hgroup_inverse(a)
-    elif kind is InverseKind.BC:
-        pair = BcPair(_load(_require(req, "b")), _load(_require(req, "c")))
-        extras["pair"] = pair
-        result = bc_inverse(a, pair)
-    elif kind is InverseKind.TWO_PRESCRIBED:
-        image = image_of(_load(_require(req, "t")))
-        kernel = kernel_of(_load(_require(req, "s")))
-        extras["image"] = image
-        extras["kernel"] = kernel
-        result = two_inverse_prescribed(a, image, kernel)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise UsageError(f"unknown kind {req.kind!r}")
-    return result, kind, extras
+def _extras(req: CommandRequest, kind: InverseKind) -> dict:
+    """The fixed operands of a bc or two request, as check_axioms keywords."""
+    if kind is InverseKind.BC:
+        return {"pair": BcPair(_load(_require(req, "b")), _load(_require(req, "c")))}
+    if kind is InverseKind.TWO_PRESCRIBED:
+        return {
+            "image": image_of(_load(_require(req, "t"))),
+            "kernel": kernel_of(_load(_require(req, "s"))),
+        }
+    return {}
+
+
+# unverified values; execute_command verifies each exactly once.  Names are
+# looked up at call time, so a tracer that rebinds them here sees the calls.
+_CANDIDATES = {
+    InverseKind.MP: lambda a: mp_inverse(a),
+    InverseKind.WEAK_MP: lambda a: weak_mp_inverse(a),
+    InverseKind.GROUP: lambda a: group_candidate(a),
+    InverseKind.DRAZIN: lambda a: drazin_candidate(a),
+    InverseKind.HGROUP: lambda a: hgroup_candidate(a),
+    InverseKind.WEAK_HGROUP: lambda a: weak_hgroup_inverse(a),
+    InverseKind.BC: lambda a, pair: bc_candidate(a, pair),
+    InverseKind.TWO_PRESCRIBED: lambda a, image, kernel: two_candidate(a, image, kernel),
+}
 
 
 def execute_command(req: CommandRequest) -> tuple[dict, int]:
@@ -201,39 +193,30 @@ def execute_command(req: CommandRequest) -> tuple[dict, int]:
 
     if req.kind not in KINDS:
         raise UsageError(f"unknown kind {req.kind!r}")
+    kind = KINDS[req.kind]
     a = _load(_require(req, "a"))
 
     if req.command == "verify":
-        kind = KINDS[req.kind]
-        candidate = _load(_require(req, "candidate"))
-        extras = {}
-        if kind is InverseKind.BC:
-            extras["pair"] = BcPair(_load(_require(req, "b")), _load(_require(req, "c")))
-        elif kind is InverseKind.TWO_PRESCRIBED:
-            extras["image"] = image_of(_load(_require(req, "t")))
-            extras["kernel"] = kernel_of(_load(_require(req, "s")))
-        ax = check_axioms(kind, a, candidate, **extras)
-        report["ok"] = ax.overall
-        report["checks"] = _checks_payload(ax)
-        report["reason"] = None if ax.overall else residual_summary(ax)
-        return report, EXIT_OK if ax.overall else EXIT_DOMAIN
-
-    if req.command == "compute":
+        x = _load(_require(req, "candidate"))
+        extras = _extras(req, kind)
+    elif req.command == "compute":
+        extras = _extras(req, kind)
         try:
-            result, kind, extras = _compute(req, a)
+            x = _CANDIDATES[kind](a, **extras)
         except (ParseError, DimensionError, UsageError):
             raise
         except GinvError as exc:
             report["reason"] = str(exc)
             return report, EXIT_DOMAIN
-        ax = check_axioms(kind, a, result, **extras)
-        report["ok"] = ax.overall
-        report["result"] = matrix_payload(result)
-        report["checks"] = _checks_payload(ax)
-        report["reason"] = None if ax.overall else residual_summary(ax)
-        return report, EXIT_OK if ax.overall else EXIT_DOMAIN
+        report["result"] = matrix_payload(x)
+    else:
+        raise UsageError(f"unknown command {req.command!r}")
 
-    raise UsageError(f"unknown command {req.command!r}")
+    ax = check_axioms(kind, a, x, **extras)
+    report["ok"] = ax.overall
+    report["checks"] = [{"name": c.name, "holds": c.holds} for c in ax.checks]
+    report["reason"] = None if ax.overall else residual_summary(ax)
+    return report, EXIT_OK if ax.overall else EXIT_DOMAIN
 
 
 # -- argument parsing ----------------------------------------------------------

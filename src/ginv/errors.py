@@ -71,7 +71,7 @@ class VerificationError(GinvError):
     """A computed inverse failed its exact post-verification.
 
     Raised instead of returning an unverified value; the message names the
-    first defining equation whose residual is nonzero.
+    defining equations that fail.
     """
 
 

@@ -21,37 +21,30 @@ from .errors import (
     NoSolutionError,
     NotBcInvertibleError,
     NotTwoInvertibleError,
-    VerificationError,
 )
 from .matrix import (
     Matrix,
     SubspaceDescriptor,
     hstack,
-    image_of,
-    kernel_of,
     nullspace_basis,
     rank,
     solve_right,
-    subspace_relate,
 )
 from .pinv import mp_inverse
-from .verify import InverseKind, check_axioms, residual_summary
+from .verify import InverseKind, verified
+
+
+def hgroup_candidate(a: Matrix) -> Matrix:
+    """(a+ a^3 a+)+; not verified."""
+    if not a.is_square:
+        raise DimensionError("higher-order group inverse needs a square matrix")
+    ad = mp_inverse(a)
+    return mp_inverse(ad.matmul(a**3).matmul(ad))
 
 
 def hgroup_inverse(a: Matrix) -> Matrix:
     """(a+ a^3 a+)+, verified against its full defining system before return."""
-    if not a.is_square:
-        raise DimensionError("higher-order group inverse needs a square matrix")
-    ad = mp_inverse(a)
-    middle = ad.matmul(a**3).matmul(ad)
-    x = mp_inverse(middle)
-    report = check_axioms(InverseKind.HGROUP, a, x)
-    if not report.overall:
-        raise VerificationError(
-            "higher-order group inverse failed verification:\n"
-            + residual_summary(report)
-        )
-    return x
+    return verified(InverseKind.HGROUP, a, hgroup_candidate(a))
 
 
 @dataclass(frozen=True)
@@ -141,6 +134,14 @@ def build_bc_pair(a: Matrix) -> BcPair:
     return BcPair(a.matmul(ad).matmul(astar2), astar2.matmul(ad).matmul(a))
 
 
+def bc_candidate(a: Matrix, pair: BcPair) -> Matrix:
+    """b (c a b)+ c; not verified."""
+    b, c = pair.b, pair.c
+    if not (a.is_square and b.shape == a.shape and c.shape == a.shape):
+        raise DimensionError("pair members must match the ambient square size")
+    return b.matmul(mp_inverse(c.matmul(a).matmul(b))).matmul(c)
+
+
 def bc_inverse(a: Matrix, pair: BcPair) -> Matrix:
     """Candidate b (c a b)+ c, returned only if every defining condition holds.
 
@@ -149,33 +150,31 @@ def bc_inverse(a: Matrix, pair: BcPair) -> Matrix:
     verification gate is the contract.  A degenerate pair b = c = 0 yields
     x = 0, for which every condition holds vacuously.
     """
-    b, c = pair.b, pair.c
-    if not (a.is_square and b.shape == a.shape and c.shape == a.shape):
-        raise DimensionError("pair members must match the ambient square size")
-    candidate = b.matmul(mp_inverse(c.matmul(a).matmul(b))).matmul(c)
-    report = check_axioms(InverseKind.BC, a, candidate, pair=pair)
-    if not report.overall:
-        failed = ", ".join(ch.name for ch in report.checks if not ch.holds)
-        raise NotBcInvertibleError(f"candidate failed: {failed}")
-    return candidate
+    x = bc_candidate(a, pair)
+    return verified(InverseKind.BC, a, x, NotBcInvertibleError, pair=pair)
+
+
+def two_candidate(
+    a: Matrix, image: SubspaceDescriptor, kernel: SubspaceDescriptor
+) -> Matrix:
+    """b (c a b)+ c with b generating the image and c the kernel; not verified."""
+    if image.kind != "image" or kernel.kind != "kernel":
+        raise ValueError("expected an image descriptor and a kernel descriptor")
+    if image.ambient != a.rows or kernel.ambient != a.rows:
+        raise DimensionError("descriptors live in the wrong ambient space")
+    return bc_candidate(a, BcPair(image.generator, kernel.generator))
 
 
 def two_inverse_prescribed(
     a: Matrix, image: SubspaceDescriptor, kernel: SubspaceDescriptor
 ) -> Matrix:
-    """{2}-inverse with im(x) = image and ker(x) = kernel, via the (b,c) route."""
-    if image.kind != "image" or kernel.kind != "kernel":
-        raise ValueError("expected an image descriptor and a kernel descriptor")
-    if image.ambient != a.rows or kernel.ambient != a.rows:
-        raise DimensionError("descriptors live in the wrong ambient space")
-    try:
-        x = bc_inverse(a, BcPair(image.generator, kernel.generator))
-    except NotBcInvertibleError as exc:
-        raise NotTwoInvertibleError(str(exc)) from exc
-    if x.matmul(a).matmul(x) != x:
-        raise NotTwoInvertibleError("candidate is not a {2}-inverse")
-    if not subspace_relate(image_of(x), image, "equals"):
-        raise NotTwoInvertibleError("image of the candidate differs from T")
-    if not subspace_relate(kernel_of(x), kernel, "equals"):
-        raise NotTwoInvertibleError("kernel of the candidate differs from S")
-    return x
+    """{2}-inverse with im(x) = image and ker(x) = kernel.
+
+    Only the {2}-system is checked: for x = b (c a b)+ c it is equivalent to
+    the (b,c) system, since x a x = x, im(x) = im(b) and ker(x) = ker(c)
+    give x a b = b, c a x = c, x in bRx and x in xRc, and conversely.
+    """
+    x = two_candidate(a, image, kernel)
+    return verified(
+        InverseKind.TWO_PRESCRIBED, a, x, NotTwoInvertibleError, image=image, kernel=kernel
+    )

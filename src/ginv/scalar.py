@@ -4,8 +4,7 @@ A value is a pair of arbitrary-precision rationals (real and imaginary
 part).  The rational substrate is ``gmpy2.mpq`` when available (a C
 implementation with the same contract: values are always stored reduced
 with a positive denominator, so scalar equality is structural) and falls
-back to ``fractions.Fraction``.  Set ``GINV_PURE_PYTHON=1`` to force the
-stdlib path; ``scripts/benchmark_substrate.py`` compares the two.
+back to ``fractions.Fraction``; ``SUBSTRATE`` names the one imported.
 
 The text form of a scalar is fixed by one grammar, shared with the matrix
 document format of :mod:`ginv.cli`:
@@ -17,6 +16,9 @@ document format of :mod:`ginv.cli`:
     rat    := ['-'] urat
     urat   := digits ['/' nonzero-digits]
 
+A digit run on input holds at most 4300 digits, CPython's default bound
+on int-from-text conversion; output is not bounded.
+
 Canonical output is reduced, omits a denominator of 1 and a zero imaginary
 part, renders zero as "0", and always writes the imaginary coefficient
 explicitly ("1+1i", "-2/3i").
@@ -24,23 +26,21 @@ explicitly ("1+1i", "-2/3i").
 
 from __future__ import annotations
 
-import os
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
 from .errors import ParseError
 
-if os.environ.get("GINV_PURE_PYTHON"):
+try:
+    from gmpy2 import mpq as _Q
+
+    SUBSTRATE = "gmpy2.mpq"
+except ImportError:
     _Q = Fraction
     SUBSTRATE = "fractions.Fraction"
-else:
-    try:
-        from gmpy2 import mpq as _Q
 
-        SUBSTRATE = "gmpy2.mpq"
-    except ImportError:  # pragma: no cover - exercised via GINV_PURE_PYTHON
-        _Q = Fraction
-        SUBSTRATE = "fractions.Fraction"
+_MAX_DIGITS = 4300
 
 _Q_ZERO = _Q(0)
 _Q_ONE = _Q(1)
@@ -237,19 +237,25 @@ def scalar_parse(token: str) -> GaussianRational:
     raise ParseError(f"unexpected character {token[pos]!r}", offset=pos)
 
 
-def _parse_urat(token: str, pos: int):
-    start = pos
+def _digit_run(token: str, start: int) -> int:
+    """End of the digit run that begins at ``start``, bounded in length."""
+    pos = start
     while pos < len(token) and token[pos].isdigit():
         pos += 1
+    if pos - start > _MAX_DIGITS:
+        raise ParseError(f"digit run longer than {_MAX_DIGITS} digits", offset=start)
+    return pos
+
+
+def _parse_urat(token: str, start: int):
+    pos = _digit_run(token, start)
     if pos == start:
         got = token[pos] if pos < len(token) else "end of token"
         raise ParseError(f"expected digits, got {got!r}", offset=pos)
     numerator = int(token[start:pos])
     if pos < len(token) and token[pos] == "/":
-        pos += 1
-        dstart = pos
-        while pos < len(token) and token[pos].isdigit():
-            pos += 1
+        dstart = pos + 1
+        pos = _digit_run(token, dstart)
         if pos == dstart:
             raise ParseError("expected digits after '/'", offset=pos)
         denominator = int(token[dstart:pos])
@@ -268,8 +274,15 @@ def scalar_format(z: ScalarLike) -> str:
     if z is None:
         raise TypeError("operand must be a Gaussian rational")
     if not z.im:
-        return str(z.re)
+        return _rational_text(z.re)
     if not z.re:
-        return f"{z.im}i"
+        return f"{_rational_text(z.im)}i"
     sign = "+" if z.im > 0 else "-"
-    return f"{z.re}{sign}{abs(z.im)}i"
+    return f"{_rational_text(z.re)}{sign}{_rational_text(abs(z.im))}i"
+
+
+def _rational_text(q) -> str:
+    # Decimal writes an int of any length exactly; str(int) stops at the
+    # interpreter's process-global int-to-text digit limit
+    num, den = Decimal(int(q.numerator)), int(q.denominator)
+    return str(num) if den == 1 else f"{num}/{Decimal(den)}"

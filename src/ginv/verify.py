@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import DimensionError
+from .errors import DimensionError, VerificationError
 from .matrix import (
     Matrix,
     MembershipWitness,
@@ -59,9 +59,9 @@ class AxiomReport:
         object.__setattr__(self, "overall", all(c.holds for c in self.checks))
 
 
-def _equation(name: str, lhs: Matrix, rhs: Matrix) -> AxiomCheck:
+def _equation(name: str, lhs: Matrix, rhs: Matrix, note: Optional[str] = None) -> AxiomCheck:
     residual = lhs - rhs
-    return AxiomCheck(name, residual.is_zero(), residual=residual)
+    return AxiomCheck(name, residual.is_zero(), residual=residual, note=note)
 
 
 def _hermitian(name: str, m: Matrix) -> AxiomCheck:
@@ -108,66 +108,60 @@ def check_axioms(
     checks: list[AxiomCheck]
 
     if kind is InverseKind.MP:
+        ax, xa = a.matmul(x), x.matmul(a)
         checks = [
-            _equation("xax=x", x.matmul(a).matmul(x), x),
-            _equation("axa=a", a.matmul(x).matmul(a), a),
-            _hermitian("(ax)*=ax", a.matmul(x)),
-            _hermitian("(xa)*=xa", x.matmul(a)),
+            _equation("xax=x", xa.matmul(x), x),
+            _equation("axa=a", ax.matmul(a), a),
+            _hermitian("(ax)*=ax", ax),
+            _hermitian("(xa)*=xa", xa),
         ]
     elif kind is InverseKind.WEAK_MP:
+        ax, xa = a.matmul(x), x.matmul(a)
         checks = [
-            _equation("x=xax", x.matmul(a).matmul(x), x),
-            _hermitian("(ax)*=ax", a.matmul(x)),
-            _hermitian("(xa)*=xa", x.matmul(a)),
-            _nilpotency("a-axa nilpotent", a - a.matmul(x).matmul(a)),
+            _equation("x=xax", xa.matmul(x), x),
+            _hermitian("(ax)*=ax", ax),
+            _hermitian("(xa)*=xa", xa),
+            _nilpotency("a-axa nilpotent", a - ax.matmul(a)),
         ]
     elif kind is InverseKind.GROUP:
+        ax, xa = a.matmul(x), x.matmul(a)
         checks = [
-            _equation("xax=x", x.matmul(a).matmul(x), x),
-            _equation("axa=a", a.matmul(x).matmul(a), a),
-            _equation("ax=xa", a.matmul(x), x.matmul(a)),
+            _equation("xax=x", xa.matmul(x), x),
+            _equation("axa=a", ax.matmul(a), a),
+            _equation("ax=xa", ax, xa),
         ]
     elif kind is InverseKind.DRAZIN:
         _, k = nilpotency_and_index(a)
+        ax, xa, ak = a.matmul(x), x.matmul(a), a**k
         checks = [
-            _equation("ax=xa", a.matmul(x), x.matmul(a)),
-            AxiomCheck(
-                "a^(k+1)x=a^k",
-                ((a ** (k + 1)).matmul(x) - a**k).is_zero(),
-                residual=(a ** (k + 1)).matmul(x) - a**k,
-                note=f"index k={k}",
-            ),
-            _equation("xax=x", x.matmul(a).matmul(x), x),
+            _equation("ax=xa", ax, xa),
+            _equation("a^(k+1)x=a^k", ak.matmul(ax), ak, note=f"index k={k}"),
+            _equation("xax=x", xa.matmul(x), x),
         ]
     elif kind is InverseKind.HGROUP:
         a2, astar = a.matmul(a), a.h
+        a2x = a2.matmul(x)
         checks = [
             _equation("xax=x", x.matmul(a).matmul(x), x),
-            _equation("a2xa2=a3", a2.matmul(x).matmul(a2), a2.matmul(a)),
-            _hermitian("(a2xa*)*=a2xa*", a2.matmul(x).matmul(astar)),
+            _equation("a2xa2=a3", a2x.matmul(a2), a2.matmul(a)),
+            _hermitian("(a2xa*)*=a2xa*", a2x.matmul(astar)),
             _hermitian("(a*xa2)*=a*xa2", astar.matmul(x).matmul(a2)),
             _membership("x in aR", "x_in_aR", x, a),
             _membership("x in Ra", "x_in_Ra", x, a),
         ]
     elif kind is InverseKind.WEAK_HGROUP:
+        ax, xa = a.matmul(x), x.matmul(a)
         t = x.matmul(a**3).matmul(x)
-        td = mp_inverse(t)
-        mp_ok = (
-            t.matmul(td).matmul(t) == t
-            and td.matmul(t).matmul(td) == td
-            and (t.matmul(td)).h == t.matmul(td)
-            and (td.matmul(t)).h == td.matmul(t)
-        )
         checks = [
-            _equation("x=xax", x.matmul(a).matmul(x), x),
-            _hermitian("(ax)*=ax", a.matmul(x)),
-            _hermitian("(xa)*=xa", x.matmul(a)),
+            _equation("x=xax", xa.matmul(x), x),
+            _hermitian("(ax)*=ax", ax),
+            _hermitian("(xa)*=xa", xa),
             AxiomCheck(
                 "xa3x mp-invertible",
-                mp_ok,
+                check_axioms(InverseKind.MP, t, mp_inverse(t)).overall,
                 note="Moore-Penrose inverse of xa3x exists and verifies",
             ),
-            _nilpotency("a-axa nilpotent", a - a.matmul(x).matmul(a)),
+            _nilpotency("a-axa nilpotent", a - ax.matmul(a)),
         ]
     elif kind is InverseKind.BC:
         if pair is None:
@@ -191,6 +185,15 @@ def check_axioms(
         raise ValueError(f"unknown inverse kind {kind!r}")
 
     return AxiomReport(kind, tuple(checks))
+
+
+def verified(kind: InverseKind, a: Matrix, x: Matrix, error=VerificationError, **extras):
+    """x if check_axioms(kind, a, x, **extras) holds in full, else raise ``error``."""
+    report = check_axioms(kind, a, x, **extras)
+    if not report.overall:
+        failed = ", ".join(c.name for c in report.checks if not c.holds)
+        raise error(f"candidate failed: {failed}")
+    return x
 
 
 def residual_summary(report: AxiomReport) -> str:

@@ -1,19 +1,26 @@
 """CLI contract: documents, reports, exit codes, determinism."""
 
 import json
+import os
+import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import ginv
-from ginv import DimensionError, ParseError
+import ginv.matrix
+import ginv.verify
+from ginv import DimensionError, Matrix, ParseError, mp_inverse
 from ginv.cli import emit_document, main, matrix_payload, parse_document
 from ginv.scalar import GaussianRational as GR
 
 I = GR(0, 1)
+# the directory holding the imported ginv package, for child interpreters
+PACKAGE_ROOT = str(Path(ginv.__file__).resolve().parent.parent)
 
 A_DOC = json.dumps(
     {
@@ -75,6 +82,18 @@ class TestDocuments:
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             parse_document("{not json")
+
+    def test_overlong_digit_run(self, tmp_path):
+        assert parse_document(
+            json.dumps({"rows": 1, "cols": 1, "entries": [["1" * 4300]]})
+        ) == Matrix([[int("1" * 4300)]])
+        doc = json.dumps({"rows": 1, "cols": 2, "entries": [["0", "1/" + "1" * 4301]]})
+        with pytest.raises(ParseError) as err:
+            parse_document(doc)
+        assert (err.value.row, err.value.col) == (1, 2)
+        path = tmp_path / "long.json"
+        path.write_text(doc)
+        assert main(["compute", "--kind", "mp", "--a", str(path)]) == 2
 
     def test_emit_canonical_idempotent(self):
         report = {
@@ -254,6 +273,121 @@ class TestCommands:
         assert code == 0
 
 
+def _rational(token):
+    # Decimal reads and converts digit runs past the int-from-text limit
+    num, _, den = token.partition("/")
+    return F(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+class TestHugeResults:
+    def test_result_past_the_digit_limit_is_printed(self, tmp_path, capsys):
+        rng = random.Random(2500)
+        tokens = [
+            rng.choice("123456789") + "".join(rng.choices("0123456789", k=2499))
+            for _ in range(4)
+        ]
+        path = tmp_path / "big.json"
+        path.write_text(
+            json.dumps({"rows": 2, "cols": 2, "entries": [tokens[:2], tokens[2:]]})
+        )
+        code = main(["compute", "--kind", "mp", "--a", str(path)])
+        text = capsys.readouterr().out
+        assert code == 0
+        report = json.loads(text)
+        assert emit_document(report) == text
+        entries = report["result"]["entries"]
+        assert max(len(t) for row in entries for t in row) > 4300
+        x = mp_inverse(parse_document(path.read_text()))
+        assert [[_rational(t) for t in row] for row in entries] == [
+            list(x.row(i)) for i in range(2)
+        ]
+
+
+COMPUTE_CALLS = {
+    "mp": 1,
+    "weak-mp": 1,
+    "group": 1,
+    "drazin": 1,
+    "hgroup": 1,
+    "weak-hgroup": 2,  # the core's HGROUP gate, then a's weak system
+    "bc": 1,
+    "two": 1,
+}
+PAIR_FLAGS = {"bc": ("--b", "--c"), "two": ("--t", "--s")}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Per-test call counts of check_axioms and kronecker.
+
+    Each is rebound in every ginv.* namespace that holds it, because the
+    modules import each other's functions by name.  A check_axioms call
+    made inside another (the weak-hgroup system's Moore-Penrose sub-test)
+    belongs to that one verification and is not counted again.
+    """
+    tally = {"check_axioms": 0, "kronecker": 0}
+    check, kron = ginv.verify.check_axioms, ginv.matrix.kronecker
+    active = []
+
+    def counted_check(*args, **kwargs):
+        tally["check_axioms"] += not active
+        active.append(None)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            active.pop()
+
+    def counted_kron(*args, **kwargs):
+        tally["kronecker"] += 1
+        return kron(*args, **kwargs)
+
+    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "ginv"]
+    for original, wrapper in ((check, counted_check), (kron, counted_kron)):
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return tally
+
+
+def _pair_args(kind, generator):
+    return [arg for flag in PAIR_FLAGS.get(kind, ()) for arg in (flag, generator)]
+
+
+class TestVerificationGate:
+    @pytest.mark.parametrize("kind", sorted(COMPUTE_CALLS))
+    def test_compute_verifies_once(self, kind, docs, tmp_path, fx, calls):
+        gen = write_doc(tmp_path / "gen.json", fx.X.scale(3))
+        code = main(["compute", "--kind", kind, "--a", docs["x"], *_pair_args(kind, gen)])
+        assert code == 0
+        assert calls["check_axioms"] == COMPUTE_CALLS[kind]
+        if kind == "two":
+            assert calls["kronecker"] == 0
+
+    @pytest.mark.parametrize("kind", sorted(COMPUTE_CALLS))
+    def test_verify_verifies_once(self, kind, docs, tmp_path, fx, calls):
+        gen = write_doc(tmp_path / "gen.json", fx.X.scale(3))
+        candidate = write_doc(tmp_path / "z.json", fx.Z)
+        main(
+            ["verify", "--kind", kind, "--a", docs["x"], "--candidate", candidate]
+            + _pair_args(kind, gen)
+        )
+        assert calls["check_axioms"] == 1
+
+    @pytest.mark.parametrize(
+        "kind, failed", [("bc", ["xab=b", "cax=c"]), ("two", ["im(x)=T", "ker(x)=S"])]
+    )
+    def test_failing_candidate_is_reported(self, kind, failed, docs, capsys):
+        # a = b = c = [[0,1],[0,0]]: the candidate b (c a b)+ c is 0
+        code = main(["compute", "--kind", kind, "--a", docs["n"], *_pair_args(kind, docs["n"])])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["ok"] is False
+        assert report["result"] == {"rows": 2, "cols": 2, "entries": [["0", "0"], ["0", "0"]]}
+        assert [c["name"] for c in report["checks"] if not c["holds"]] == failed
+        assert all(f"FAILED {name}" in report["reason"] for name in failed)
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, docs, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -269,6 +403,7 @@ class TestDeterminism:
             [sys.executable, "-m", "ginv", "compute", "--kind", "mp", "--a", docs["a"]],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
         )
         assert result.returncode == 0
         report = json.loads(result.stdout)
@@ -278,7 +413,6 @@ class TestDeterminism:
         # fresh interpreters with different hash seeds must agree bytewise;
         # the minimal env forwards only the directory holding the imported
         # ginv package, so an uninstalled checkout imports too
-        package_root = str(Path(ginv.__file__).resolve().parent.parent)
         outputs = []
         for seed in ("1", "2"):
             result = subprocess.run(
@@ -296,7 +430,7 @@ class TestDeterminism:
                 env={
                     "PYTHONHASHSEED": seed,
                     "PATH": "/usr/bin:/bin",
-                    "PYTHONPATH": package_root,
+                    "PYTHONPATH": PACKAGE_ROOT,
                 },
             )
             assert result.returncode == 0, result.stderr.decode(errors="replace")

@@ -1,6 +1,8 @@
 """Higher-order group inverse and its system/(b,c)/{2}-inverse routes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginv import (
     BcPair,
@@ -26,7 +28,22 @@ from ginv import (
     unvec,
 )
 
-from conftest import small_random_matrices
+from ginv.scalar import GaussianRational as GR
+
+from conftest import POOL, small_random_matrices
+
+
+def square_triples(max_dim=3):
+    """(a, b, c) of one square size; entries lean to 0 so ranks vary."""
+    entries = st.one_of(st.just(GR(0)), st.sampled_from(POOL))
+
+    def square(n):
+        row = st.lists(entries, min_size=n, max_size=n)
+        return st.lists(row, min_size=n, max_size=n).map(Matrix)
+
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.tuples(square(n), square(n), square(n))
+    )
 
 
 class TestHgroupInverse:
@@ -161,8 +178,21 @@ class TestTwoInversePrescribed:
         assert two_inverse_prescribed(fx.I2, image_of(fx.I2), kernel_of(fx.I2)) == fx.I2
 
     def test_wrong_subspaces_rejected(self, fx):
-        with pytest.raises(NotTwoInvertibleError):
+        with pytest.raises(NotTwoInvertibleError, match=r"im\(x\)=T"):
             two_inverse_prescribed(fx.X, image_of(fx.I3), kernel_of(fx.X.scale(3)))
+
+    @given(square_triples())
+    @settings(max_examples=60, deadline=None)
+    def test_two_and_bc_verdicts_agree(self, abc):
+        # two_inverse_prescribed checks only the {2}-system on b (c a b)+ c;
+        # that is sound because the (b,c) system gives the same verdict
+        a, b, c = abc
+        x = b.matmul(mp_inverse(c.matmul(a).matmul(b))).matmul(c)
+        bc = check_axioms(InverseKind.BC, a, x, pair=BcPair(b, c))
+        two = check_axioms(
+            InverseKind.TWO_PRESCRIBED, a, x, image=image_of(b), kernel=kernel_of(c)
+        )
+        assert bc.overall == two.overall
 
     def test_descriptor_kinds_enforced(self, fx):
         with pytest.raises(ValueError):
