@@ -10,36 +10,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DimensionError,
-    NotGroupInvertibleError,
-    SingularMatrixError,
-    VerificationError,
-)
-from .matrix import (
-    Matrix,
-    full_rank_factorize,
-    invert,
-    nilpotency_and_index,
-    rank,
-)
+from .errors import DimensionError, NotGroupInvertibleError, VerificationError
+from .matrix import Matrix, index_chain, invert, rank
 from .pinv import mp_inverse
 from .verify import InverseKind, verified
 
 
+def _cline(k: int, f: Matrix, m: Matrix, g: Matrix) -> Matrix:
+    """Cline's formula a^D = f m^-(k+1) g, where a^k = f g and a^(k+1) = f m g."""
+    return f.matmul(invert(m) ** (k + 1)).matmul(g)
+
+
 def group_candidate(a: Matrix) -> Matrix:
-    """f (g f)^-2 g from a full-rank factorization a = f g; not verified."""
+    """The Drazin inverse f m^-(k+1) g of an index <= 1 matrix; not verified."""
     if not a.is_square:
         raise DimensionError("group inverse is defined for square matrices")
-    frf = full_rank_factorize(a)
-    gf = frf.g.matmul(frf.f)
-    try:
-        middle = invert(gf)
-    except SingularMatrixError:
+    k, f, m, g = index_chain(a)
+    if k > 1:
         raise NotGroupInvertibleError(
-            f"rank(a^2) = {rank(a.matmul(a))} < rank(a) = {frf.rank}"
-        ) from None
-    return frf.f.matmul(middle).matmul(middle).matmul(frf.g)
+            f"rank(a^2) = {rank(a.matmul(a))} < rank(a) = {rank(a)}"
+        )
+    return _cline(k, f, m, g)
 
 
 def group_inverse(a: Matrix) -> Matrix:
@@ -48,16 +39,14 @@ def group_inverse(a: Matrix) -> Matrix:
 
 
 def drazin_candidate(a: Matrix) -> Matrix:
-    """a^k (a^(2k+1))+ a^k with k the index; not verified."""
+    """f m^-(k+1) g from index_chain(a) = (k, f, m, g); not verified."""
     if not a.is_square:
         raise DimensionError("Drazin inverse is defined for square matrices")
-    _, k = nilpotency_and_index(a)
-    ak = a**k
-    return ak.matmul(mp_inverse(a ** (2 * k + 1))).matmul(ak)
+    return _cline(*index_chain(a))
 
 
 def drazin_inverse(a: Matrix) -> Matrix:
-    """a^D = a^k (a^(2k+1))+ a^k with k the index; verified before returning."""
+    """a^D = f m^-(k+1) g from Cline's chain; verified before returning."""
     return verified(InverseKind.DRAZIN, a, drazin_candidate(a))
 
 
@@ -65,8 +54,8 @@ def drazin_inverse(a: Matrix) -> Matrix:
 class CoreEpDecomposition:
     """a = core + nil with core* nil = 0, nil core = 0, nil nilpotent.
 
-    ``projector`` is the Hermitian idempotent P = a^k (a^k)+ onto im(a^k)
-    and core = P a has index <= 1.
+    ``projector`` is the Hermitian idempotent P = f (f* f)^-1 f* onto
+    im(a^k) = im(f), f from index_chain(a), and core = P a has index <= 1.
     """
 
     core: Matrix
@@ -78,9 +67,8 @@ class CoreEpDecomposition:
 def core_ep_decompose(a: Matrix) -> CoreEpDecomposition:
     if not a.is_square:
         raise DimensionError("decomposition is defined for square matrices")
-    _, k = nilpotency_and_index(a)
-    ak = a**k
-    projector = ak.matmul(mp_inverse(ak))
+    k, f, _, _ = index_chain(a)
+    projector = f.matmul(invert(f.h.matmul(f))).matmul(f.h)
     core = projector.matmul(a)
     nil = a - core
     _verify_decomposition(a, core, nil, k, projector)

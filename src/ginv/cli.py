@@ -20,8 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .classical import core_ep_decompose, drazin_candidate, group_candidate, weak_mp_inverse
 from .errors import (
@@ -43,19 +41,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 EXIT_USAGE = 3
-
-
-@dataclass(frozen=True)
-class CommandRequest:
-    command: str
-    kind: Optional[str] = None
-    a: Optional[str] = None
-    b: Optional[str] = None
-    c: Optional[str] = None
-    t: Optional[str] = None
-    s: Optional[str] = None
-    candidate: Optional[str] = None
-    out: Optional[str] = None
 
 
 # -- documents ---------------------------------------------------------------
@@ -133,14 +118,14 @@ def _load(path: str) -> Matrix:
     return parse_document(text)
 
 
-def _require(req: CommandRequest, field: str) -> str:
+def _require(req: argparse.Namespace, field: str) -> str:
     value = getattr(req, field)
     if value is None:
         raise UsageError(f"--{field} is required for kind {req.kind!r}")
     return value
 
 
-def _extras(req: CommandRequest, kind: InverseKind) -> dict:
+def _extras(req: argparse.Namespace, kind: InverseKind) -> dict:
     """The fixed operands of a bc or two request, as check_axioms keywords."""
     if kind is InverseKind.BC:
         return {"pair": BcPair(_load(_require(req, "b")), _load(_require(req, "c")))}
@@ -166,8 +151,8 @@ _CANDIDATES = {
 }
 
 
-def execute_command(req: CommandRequest) -> tuple[dict, int]:
-    """Run one request; returns (report document, exit code)."""
+def execute_command(req: argparse.Namespace) -> tuple[dict, int]:
+    """Run one parsed command line; returns (report document, exit code)."""
     report = {
         "command": req.command,
         "kind": req.kind,
@@ -229,6 +214,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ginv", description=__doc__)
+    parser.set_defaults(kind=None, b=None, c=None, t=None, s=None, candidate=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p, with_kind=True, with_candidate=False):
@@ -253,22 +239,10 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        req = _build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"ginv: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    req = CommandRequest(
-        command=args.command,
-        kind=getattr(args, "kind", None),
-        a=args.a,
-        b=getattr(args, "b", None),
-        c=getattr(args, "c", None),
-        t=getattr(args, "t", None),
-        s=getattr(args, "s", None),
-        candidate=getattr(args, "candidate", None),
-        out=args.out,
-    )
 
     try:
         report, code = execute_command(req)

@@ -4,7 +4,7 @@ Everything here is pure and exact: Gauss-Jordan elimination with exact
 pivots, canonical particular solutions (free variables fixed to zero),
 nullspace bases, full-rank factorization, subspace comparison by rank
 tests, one-sided ideal membership with reconstructing witnesses, and the
-rank-stabilization index.
+rank-stabilization index with Cline's chain of full-rank factorizations.
 
 Matrices are immutable; a zero number of rows or columns is legal so that
 the rank-0 full-rank factorization (f is n x 0, g is 0 x m) and trivial
@@ -174,7 +174,7 @@ class Matrix:
         result = Matrix.identity(self.rows)
         base = self
         e = exponent
-        while e:  # repeated squaring; index computations reach a^(2k+1)
+        while e:  # repeated squaring
             if e & 1:
                 result = result.matmul(base)
             base = base.matmul(base) if e > 1 else base
@@ -455,12 +455,13 @@ def ideal_membership(relation: str, x: Matrix, a: Matrix) -> MembershipWitness:
             witness = solve_right(a, x)
         elif relation == "x_in_Ra":
             witness = solve_right(a.h, x.h).h
-        elif relation == "x_in_bRx":
-            solution = solve_right(kronecker(x.t, a), vec(x))
-            witness = unvec(solution, a.cols, x.rows)
-        elif relation == "x_in_xRc":
-            solution = solve_right(kronecker(a.t, x), vec(x))
-            witness = unvec(solution, x.cols, a.rows)
+        elif relation in ("x_in_bRx", "x_in_xRc"):
+            # x = b r x for some r iff b b+ x = x; x = x r c iff x c+ c = x
+            from .pinv import mp_inverse  # at call time: pinv imports this module
+
+            witness = mp_inverse(a)
+            if reconstruct(MembershipWitness(relation, True, witness), x, a) != x:
+                return MembershipWitness(relation, False)
         else:
             raise ValueError(f"unknown membership relation {relation!r}")
     except NoSolutionError:
@@ -487,22 +488,31 @@ def reconstruct(witness: MembershipWitness, x: Matrix, a: Matrix) -> Matrix:
 # -- nilpotency and index ----------------------------------------------------
 
 
+def index_chain(a: Matrix) -> tuple[int, Matrix, Matrix, Matrix]:
+    """Cline's chain of full-rank factorizations: (k, f, m, g).
+
+    Starting from f = g = I and m = a, factor m = f' g' and continue with
+    f f', g' f', g' g until m has full rank.  Then a^k = f g and
+    a^(k+1) = f m g, m is invertible, f has full column rank, g has full
+    row rank, k is the index and a is nilpotent iff m is 0 x 0.
+    Cline, "Inverses of rank invariant powers of a matrix" (1968).
+    """
+    if not a.is_square:
+        raise DimensionError("index is defined for square matrices only")
+    f = g = Matrix.identity(a.rows)
+    m, k = a, 0
+    while True:
+        frf = full_rank_factorize(m)
+        if frf.rank == m.rows:
+            return k, f, m, g
+        f, m, g, k = f.matmul(frf.f), frf.g.matmul(frf.f), frf.g.matmul(g), k + 1
+
+
 def nilpotency_and_index(a: Matrix) -> tuple[bool, int]:
     """(is_nilpotent, k) with k the least power at which rank(a^k) stabilizes.
 
     Uses a^0 = I, so invertible matrices have index 0 and the zero matrix
     has index 1.
     """
-    if not a.is_square:
-        raise DimensionError("index is defined for square matrices only")
-    n = a.rows
-    power = Matrix.identity(n)
-    previous = n
-    k = 0
-    while True:
-        power = power.matmul(a)
-        current = rank(power)
-        if current == previous:
-            return previous == 0, k
-        previous = current
-        k += 1
+    k, _, m, _ = index_chain(a)
+    return m.rows == 0, k

@@ -361,8 +361,7 @@ class TestVerificationGate:
         code = main(["compute", "--kind", kind, "--a", docs["x"], *_pair_args(kind, gen)])
         assert code == 0
         assert calls["check_axioms"] == COMPUTE_CALLS[kind]
-        if kind == "two":
-            assert calls["kronecker"] == 0
+        assert calls["kronecker"] == 0
 
     @pytest.mark.parametrize("kind", sorted(COMPUTE_CALLS))
     def test_verify_verifies_once(self, kind, docs, tmp_path, fx, calls):

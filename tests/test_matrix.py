@@ -27,7 +27,7 @@ from ginv import (
     unvec,
     vec,
 )
-from ginv.matrix import reconstruct
+from ginv.matrix import index_chain, reconstruct
 from ginv.scalar import GaussianRational as GR
 
 from conftest import POOL, rank_by_minors, small_random_matrices
@@ -262,6 +262,48 @@ class TestMembership:
         assert outcome.holds
         assert reconstruct(outcome, fx.Z, fx.X.scale(3)) == fx.Z
 
+    def test_not_in_sandwich_bRx(self, fx):
+        # im(Y) is not inside im(X), whose third coordinate is always zero
+        assert not ideal_membership("x_in_bRx", fx.Y, fx.X).holds
+
+    def test_sandwich_xRc_witness_reconstructs(self, fx):
+        outcome = ideal_membership("x_in_xRc", fx.Z, fx.X.scale(3))
+        assert outcome.holds
+        assert reconstruct(outcome, fx.Z, fx.X.scale(3)) == fx.Z
+
+    def test_not_in_sandwich_xRc(self, fx):
+        # the row (-2, 1+i, 0) of Y is not a multiple of the row (1, 1+i, 0) of X
+        assert not ideal_membership("x_in_xRc", fx.Y, fx.X).holds
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_projector_verdict_matches_kronecker_system(self, data):
+        n = data.draw(st.integers(1, 3))
+        draw = lambda: Matrix(
+            [[data.draw(st.sampled_from(POOL)) for _ in range(n)] for _ in range(n)]
+        )
+        b, c, r = draw(), draw(), draw()
+        shape = data.draw(st.sampled_from(("free", "b r", "r c")))
+        x = draw() if shape == "free" else b.matmul(r) if shape == "b r" else r.matmul(c)
+        # reference: x = b r' x and x = x r' c as n^2 x n^2 linear systems in r'
+        for relation, system, fixed in (
+            ("x_in_bRx", kronecker(x.t, b), b),
+            ("x_in_xRc", kronecker(c.t, x), c),
+        ):
+            try:
+                solve_right(system, vec(x))
+                expected = True
+            except NoSolutionError:
+                expected = False
+            outcome = ideal_membership(relation, x, fixed)
+            assert outcome.holds == expected
+            if outcome.holds:
+                assert reconstruct(outcome, x, fixed) == x
+        if shape == "b r":
+            assert ideal_membership("x_in_bRx", x, b).holds
+        if shape == "r c":
+            assert ideal_membership("x_in_xRc", x, c).holds
+
     def test_dimension_error(self, fx):
         with pytest.raises(DimensionError):
             ideal_membership("x_in_aR", fx.Z, fx.N)
@@ -312,3 +354,22 @@ class TestIndex:
             assert rank(m**k) == rank(m ** (k + 1))
             if nilpotent:
                 assert (m**m.rows).is_zero()
+
+    def test_chain_reproduces_powers(self, fx):
+        fixtures = [fx.A, fx.X, fx.Y, fx.N, fx.I3]
+        for a in fixtures + list(small_random_matrices(seed=29, count=25, square=True)):
+            k, f, m, g = index_chain(a)
+            assert a**k == f.matmul(g)
+            assert a ** (k + 1) == f.matmul(m).matmul(g)
+            assert m.is_square and rank(m) == m.rows
+            assert f.cols == g.rows == rank(a**k)
+            assert nilpotency_and_index(a) == (m.rows == 0, k)
+
+    def test_nilpotent_jordan_block(self):
+        jordan = Matrix([[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)])
+        assert nilpotency_and_index(jordan) == (True, 4)
+
+    def test_chain_of_zero_and_identity(self, fx):
+        k, f, m, g = index_chain(Matrix.zeros(3, 3))
+        assert (k, m.shape, f.shape, g.shape) == (1, (0, 0), (3, 0), (0, 3))
+        assert index_chain(fx.I3) == (0, fx.I3, fx.I3, fx.I3)

@@ -1,0 +1,144 @@
+"""Differential tests against an independent exact oracle.
+
+The oracle is sympy's ``DomainMatrix`` over ``QQ_I``: ginv matrices are read
+entry by entry, and every rank, product and comparison on the oracle side is
+sympy's own, so no ginv elimination is involved.  The index comes from a
+sympy rank chain, group invertibility from the ranks of a and a^2, the group
+and Drazin inverses are judged by their defining equations, and the core-EP
+projector by being a Hermitian idempotent with image im(a^k).
+"""
+
+import pytest
+
+pytest.importorskip("sympy")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
+
+from ginv import (
+    Matrix,
+    NotGroupInvertibleError,
+    core_ep_decompose,
+    drazin_inverse,
+    group_inverse,
+    nilpotency_and_index,
+)
+from ginv.scalar import GaussianRational as GR
+
+from conftest import POOL
+
+NONZERO = [z for z in POOL if z]
+
+
+@st.composite
+def square_matrices(draw, max_n=6):
+    """Generic, rank-deficient (u v, u of n x r) and nilpotent-shifted matrices.
+
+    A nilpotent-shifted matrix is upper triangular with zeros on the first z
+    diagonal places, so its index is at most z, filled in by unimodular
+    similarities a -> (I + c e_i e_j^T) a (I - c e_i e_j^T).
+    """
+    n = draw(st.integers(1, max_n))
+    pick = lambda pool=POOL: draw(st.sampled_from(pool))
+    grid = lambda rows, cols: [[pick() for _ in range(cols)] for _ in range(rows)]
+    style = draw(st.sampled_from(("generic", "rank-deficient", "nilpotent-shifted")))
+    if style == "generic":
+        return Matrix(grid(n, n))
+    if style == "rank-deficient":
+        r = draw(st.integers(0, n - 1))
+        return Matrix(grid(n, r), cols=r).matmul(Matrix(grid(r, n), cols=n))
+    z = draw(st.integers(1, n))
+    a = [[pick() if j > i else GR(0) for j in range(n)] for i in range(n)]
+    for i in range(z, n):
+        a[i][i] = pick(NONZERO)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            c = pick((GR(1), GR(-1)))
+            a[i] = [p + c * q for p, q in zip(a[i], a[j])]
+            for row in a:
+                row[j] = row[j] - c * row[i]
+    return Matrix(a)
+
+
+# -- the oracle ----------------------------------------------------------------
+
+
+def lift(m: Matrix) -> DomainMatrix:
+    rows = [
+        [
+            QQ_I(QQ(e.re.numerator, e.re.denominator), QQ(e.im.numerator, e.im.denominator))
+            for e in m.row(i)
+        ]
+        for i in range(m.rows)
+    ]
+    return DomainMatrix(rows, m.shape, QQ_I).to_dense()
+
+
+def eye(n: int) -> DomainMatrix:
+    return DomainMatrix.eye(n, QQ_I).to_dense()
+
+
+def power(a: DomainMatrix, k: int) -> DomainMatrix:
+    out = eye(a.shape[0])
+    for _ in range(k):
+        out = out * a
+    return out
+
+
+def adj(m: DomainMatrix) -> DomainMatrix:
+    return m.transpose().applyfunc(lambda e: QQ_I(e.x, -e.y))
+
+
+def same(p: DomainMatrix, q: DomainMatrix) -> bool:
+    return p.shape == q.shape and (p - q).is_zero_matrix
+
+
+def oracle_index(a: DomainMatrix) -> int:
+    """Least k >= 0 with rank(a^k) = rank(a^(k+1)), a^0 = I."""
+    p, previous, k = a, a.shape[0], 0
+    while p.rank() != previous:
+        previous, p, k = p.rank(), p * a, k + 1
+    return k
+
+
+# -- the differential tests ------------------------------------------------------
+
+
+@given(square_matrices())
+@settings(max_examples=60, deadline=None)
+def test_index_and_group_existence(a):
+    s = lift(a)
+    k = oracle_index(s)
+    assert nilpotency_and_index(a) == (power(s, k).is_zero_matrix, k)
+    if (s * s).rank() == s.rank():
+        x = lift(group_inverse(a))
+        assert same(x * s * x, x) and same(s * x * s, s) and same(s * x, x * s)
+    else:
+        with pytest.raises(NotGroupInvertibleError):
+            group_inverse(a)
+
+
+@given(square_matrices())
+@settings(max_examples=60, deadline=None)
+def test_drazin_inverse(a):
+    s, x = lift(a), lift(drazin_inverse(a))
+    sk = power(s, oracle_index(s))
+    assert same(s * x, x * s)
+    assert same(sk * s * x, sk)
+    assert same(x * s * x, x)
+
+
+@given(square_matrices())
+@settings(max_examples=60, deadline=None)
+def test_core_ep_projector(a):
+    s = lift(a)
+    k = oracle_index(s)
+    d = core_ep_decompose(a)
+    p, sk = lift(d.projector), power(s, k)
+    assert d.index == k
+    assert same(adj(p), p) and same(p * p, p)
+    assert p.rank() == sk.rank() == p.hstack(sk).rank()
+    assert same(lift(d.core), p * s)
