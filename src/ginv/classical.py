@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionError, NotGroupInvertibleError, VerificationError
+from .errors import DimensionError, NotGroupInvertibleError
 from .matrix import Matrix, index_chain, invert, rank
 from .pinv import mp_inverse
-from .verify import InverseKind, verified
+from .verify import InverseKind, core_nil_checks, gate, verified
 
 
 def _cline(k: int, f: Matrix, m: Matrix, g: Matrix) -> Matrix:
@@ -71,23 +71,8 @@ def core_ep_decompose(a: Matrix) -> CoreEpDecomposition:
     projector = f.matmul(invert(f.h.matmul(f))).matmul(f.h)
     core = projector.matmul(a)
     nil = a - core
-    _verify_decomposition(a, core, nil, k, projector)
+    gate(core_nil_checks(a, core, nil, k, projector))
     return CoreEpDecomposition(core, nil, k, projector)
-
-
-def _verify_decomposition(a, core, nil, k, projector):
-    checks = (
-        ("core+nil=a", core + nil == a),
-        ("core* nil=0", core.h.matmul(nil).is_zero()),
-        ("nil core=0", nil.matmul(core).is_zero()),
-        ("nil nilpotent", (nil ** max(k, 1)).is_zero()),
-        ("rank(core^2)=rank(core)", rank(core.matmul(core)) == rank(core)),
-        ("P hermitian", projector.h == projector),
-        ("P idempotent", projector.matmul(projector) == projector),
-    )
-    for name, ok in checks:
-        if not ok:
-            raise VerificationError(f"core/nilpotent decomposition failed {name}")
 
 
 def weak_mp_inverse(a: Matrix) -> Matrix:

@@ -255,8 +255,12 @@ def main(argv=None) -> int:
 
     text = emit_document(report)
     if req.out:
-        with open(req.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(req.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"ginv: usage error: cannot write {req.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -22,14 +22,7 @@ from .errors import (
     NotBcInvertibleError,
     NotTwoInvertibleError,
 )
-from .matrix import (
-    Matrix,
-    SubspaceDescriptor,
-    hstack,
-    nullspace_basis,
-    rank,
-    solve_right,
-)
+from .matrix import Matrix, SubspaceDescriptor, rank, solve_right
 from .pinv import mp_inverse
 from .verify import InverseKind, verified
 
@@ -60,12 +53,29 @@ class ConstrainedSolveResult:
     homogeneous_dimension: int
 
 
-def _intersection_dimension(outer: Matrix, inner: Matrix) -> int:
-    """dim( ker(outer) /\\ im(inner) ), exactly."""
-    kernel_vectors = nullspace_basis(outer.matmul(inner))
-    if not kernel_vectors:
-        return 0
-    return rank(inner.matmul(hstack(*kernel_vectors)))
+def _projectors(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """p = a a+, q = a+ a and (q a p)+."""
+    if not a.is_square:
+        raise DimensionError("system is defined for square matrices")
+    ad = mp_inverse(a)
+    p, q = a.matmul(ad), ad.matmul(a)
+    return p, q, mp_inverse(q.matmul(a).matmul(p))
+
+
+def _constrained_solve(outer: Matrix, basis: Matrix, rhs: Matrix) -> ConstrainedSolveResult:
+    """x = basis u with outer x = rhs; u is the canonical solution.
+
+    The homogeneous freedom ker(outer) /\\ im(basis) has dimension
+    rank(basis) - rank(outer basis), by rank-nullity on outer restricted
+    to im(basis).
+    """
+    restricted = outer.matmul(basis)
+    try:
+        u = solve_right(restricted, rhs)
+    except NoSolutionError as exc:
+        raise InconsistentSystemError("constrained system has no solution") from exc
+    hom = rank(basis) - rank(restricted)
+    return ConstrainedSolveResult(basis.matmul(u), hom == 0, hom)
 
 
 def solve_ax_system(a: Matrix) -> ConstrainedSolveResult:
@@ -76,21 +86,8 @@ def solve_ax_system(a: Matrix) -> ConstrainedSolveResult:
     matrix over Q(i), so the unique solution is the higher-order group
     inverse.
     """
-    if not a.is_square:
-        raise DimensionError("system is defined for square matrices")
-    ad = mp_inverse(a)
-    p = a.matmul(ad)
-    q = ad.matmul(a)
-    middle = q.matmul(a).matmul(p)
-    target = a.matmul(mp_inverse(middle))
-    basis = p.matmul(a.h).matmul(q)
-    try:
-        u = solve_right(a.matmul(basis), target)
-    except NoSolutionError as exc:
-        raise InconsistentSystemError("constrained system has no solution") from exc
-    x = basis.matmul(u)
-    hom = _intersection_dimension(a, basis)
-    return ConstrainedSolveResult(x, hom == 0, hom)
+    p, q, middle_d = _projectors(a)
+    return _constrained_solve(a, p.matmul(a.h).matmul(q), a.matmul(middle_d))
 
 
 def solve_px_system(a: Matrix) -> ConstrainedSolveResult:
@@ -99,19 +96,8 @@ def solve_px_system(a: Matrix) -> ConstrainedSolveResult:
     Parametrized as x = a v; the homogeneous freedom ker(p) /\\ im(a) is 0
     because ker(a a+) is the orthogonal complement of im(a).
     """
-    if not a.is_square:
-        raise DimensionError("system is defined for square matrices")
-    ad = mp_inverse(a)
-    p = a.matmul(ad)
-    q = ad.matmul(a)
-    target = mp_inverse(q.matmul(a).matmul(p))
-    try:
-        v = solve_right(p.matmul(a), target)
-    except NoSolutionError as exc:
-        raise InconsistentSystemError("constrained system has no solution") from exc
-    x = a.matmul(v)
-    hom = _intersection_dimension(p, a)
-    return ConstrainedSolveResult(x, hom == 0, hom)
+    p, _, middle_d = _projectors(a)
+    return _constrained_solve(p, a, middle_d)
 
 
 # -- (b,c)-inverse -----------------------------------------------------------

@@ -26,8 +26,9 @@ from .errors import (
     VerificationError,
 )
 from .hgroup import ConstrainedSolveResult, hgroup_inverse
-from .matrix import Matrix, ideal_membership
+from .matrix import Matrix
 from .pinv import mp_inverse
+from .verify import InverseKind, gate, verified, weak_system_checks
 
 
 def weak_hgroup_inverse(a: Matrix) -> Matrix:
@@ -41,15 +42,15 @@ def weak_hgroup_paths(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """The three computation routes, for exact cross-checking.
 
     (core^H,  (w a^3 w)+ with w = weak MP inverse,  (core+ core^3 core+)+).
-    The first and third agree for every square a; the second agrees exactly
-    on the aligned class nil * core* = 0.
+    The first is the third verified against the HGROUP system of the core,
+    so the two always agree; the second agrees exactly on the aligned class
+    nil * core* = 0.
     """
     d = core_ep_decompose(a)
-    core_d = mp_inverse(d.core)
-    via_core = hgroup_inverse(d.core)
-    w = core_d
+    w = mp_inverse(d.core)
+    via_formula = mp_inverse(w.matmul(d.core**3).matmul(w))
+    via_core = verified(InverseKind.HGROUP, d.core, via_formula)
     via_weak_mp = mp_inverse(w.matmul(a**3).matmul(w))
-    via_formula = mp_inverse(core_d.matmul(d.core**3).matmul(core_d))
     return via_core, via_weak_mp, via_formula
 
 
@@ -59,27 +60,13 @@ def weak_hgroup_via_system(a: Matrix) -> Matrix:
     The system: x in (aw)R and x in R(wa), x a x = x, (a^2 x a^2) w = a^3 w,
     (a^2 x a*)* = a^2 x a*, (a* x a^2)* = a* x a^2.  Every condition is
     checked exactly; on the non-aligned inputs where the formula value
-    fails the system, VerificationError names the first failed condition.
+    fails the system, VerificationError names every failed condition.
     """
     if not a.is_square:
         raise DimensionError("system is defined for square matrices")
     w = weak_mp_inverse(a)
     x = mp_inverse(w.matmul(a**3).matmul(w))
-    a2, astar = a.matmul(a), a.h
-    conditions = (
-        ("x in (aw)R", ideal_membership("x_in_aR", x, a.matmul(w)).holds),
-        ("x in R(wa)", ideal_membership("x_in_Ra", x, w.matmul(a)).holds),
-        ("xax=x", x.matmul(a).matmul(x) == x),
-        (
-            "(a2xa2)w=a3w",
-            a2.matmul(x).matmul(a2).matmul(w) == (a**3).matmul(w),
-        ),
-        ("(a2xa*)*=a2xa*", a2.matmul(x).matmul(astar).h == a2.matmul(x).matmul(astar)),
-        ("(a*xa2)*=a*xa2", astar.matmul(x).matmul(a2).h == astar.matmul(x).matmul(a2)),
-    )
-    for name, ok in conditions:
-        if not ok:
-            raise VerificationError(f"weak system value failed {name}")
+    gate(weak_system_checks(a, x, w))
     return x
 
 

@@ -6,10 +6,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import ginv.matrix
+import ginv.pinv
+import ginv.verify
 from ginv import Matrix
 from ginv.scalar import GaussianRational as GR
 
@@ -45,6 +49,46 @@ def fx():
         I3 = Matrix.identity(3)
 
     return Fixtures
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Per-test call counts of check_axioms, kronecker and mp_inverse.
+
+    Each is rebound in every ginv.* namespace that holds it, because the
+    modules import each other's functions by name.  A call made inside
+    another call of the same function (the weak-hgroup system's
+    Moore-Penrose sub-test inside check_axioms) belongs to the outer call
+    and is not counted again.
+    """
+    originals = {
+        "check_axioms": ginv.verify.check_axioms,
+        "kronecker": ginv.matrix.kronecker,
+        "mp_inverse": ginv.pinv.mp_inverse,
+    }
+    tally = dict.fromkeys(originals, 0)
+
+    def counted(name, original):
+        active = []
+
+        def wrapper(*args, **kwargs):
+            tally[name] += not active
+            active.append(None)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                active.pop()
+
+        return wrapper
+
+    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "ginv"]
+    for name, original in originals.items():
+        wrapper = counted(name, original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return tally
 
 
 def make_corpus(count_per_style: int = 180, seed: int = CORPUS_SEED) -> list[Matrix]:

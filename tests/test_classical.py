@@ -8,6 +8,7 @@ from ginv import (
     InverseKind,
     Matrix,
     NotGroupInvertibleError,
+    VerificationError,
     check_axioms,
     core_ep_decompose,
     drazin_inverse,
@@ -17,6 +18,7 @@ from ginv import (
     rank,
     weak_mp_inverse,
 )
+from ginv.verify import core_nil_checks, gate
 
 from conftest import small_random_matrices
 
@@ -104,6 +106,27 @@ class TestCoreDecomposition:
             assert d.projector.h == d.projector
             assert d.projector.matmul(d.projector) == d.projector
             assert d.projector.matmul(a) == d.core
+
+    def test_system_names_in_order(self, fx):
+        d = core_ep_decompose(fx.A)
+        checks = core_nil_checks(fx.A, d.core, d.nil, d.index, d.projector)
+        assert [c.name for c in checks] == [
+            "core+nil=a",
+            "core* nil=0",
+            "nil core=0",
+            "nil nilpotent",
+            "rank(core^2)=rank(core)",
+            "P hermitian",
+            "P idempotent",
+        ]
+        assert all(c.holds for c in checks)
+
+    def test_gate_rejects_a_wrong_projector(self, fx):
+        # P = I on N splits N into core = N, nil = 0, and N has index 2
+        checks = core_nil_checks(fx.N, fx.N, Matrix.zeros(2, 2), 2, fx.I2)
+        failed = r"^candidate failed: rank\(core\^2\)=rank\(core\)$"
+        with pytest.raises(VerificationError, match=failed):
+            gate(checks)
 
 
 class TestWeakMpInverse:

@@ -12,8 +12,6 @@ from pathlib import Path
 import pytest
 
 import ginv
-import ginv.matrix
-import ginv.verify
 from ginv import DimensionError, Matrix, ParseError, mp_inverse
 from ginv.cli import emit_document, main, matrix_payload, parse_document
 from ginv.scalar import GaussianRational as GR
@@ -169,6 +167,15 @@ class TestExitCodes:
         assert code == 3
         assert "--b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing/r.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_is_three(self, target, docs, capsys):
+        out = str(docs["tmp"] / target)
+        code = main(["decompose", "--a", docs["a"], "--out", out])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"ginv: usage error: cannot write {out}: ")
+
 
 class TestCommands:
     def test_compute_mp(self, docs, capsys):
@@ -314,40 +321,6 @@ COMPUTE_CALLS = {
     "two": 1,
 }
 PAIR_FLAGS = {"bc": ("--b", "--c"), "two": ("--t", "--s")}
-
-
-@pytest.fixture
-def calls(monkeypatch):
-    """Per-test call counts of check_axioms and kronecker.
-
-    Each is rebound in every ginv.* namespace that holds it, because the
-    modules import each other's functions by name.  A check_axioms call
-    made inside another (the weak-hgroup system's Moore-Penrose sub-test)
-    belongs to that one verification and is not counted again.
-    """
-    tally = {"check_axioms": 0, "kronecker": 0}
-    check, kron = ginv.verify.check_axioms, ginv.matrix.kronecker
-    active = []
-
-    def counted_check(*args, **kwargs):
-        tally["check_axioms"] += not active
-        active.append(None)
-        try:
-            return check(*args, **kwargs)
-        finally:
-            active.pop()
-
-    def counted_kron(*args, **kwargs):
-        tally["kronecker"] += 1
-        return kron(*args, **kwargs)
-
-    modules = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "ginv"]
-    for original, wrapper in ((check, counted_check), (kron, counted_kron)):
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, wrapper)
-    return tally
 
 
 def _pair_args(kind, generator):

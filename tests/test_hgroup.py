@@ -1,7 +1,7 @@
 """Higher-order group inverse and its system/(b,c)/{2}-inverse routes."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ginv import (
@@ -15,6 +15,7 @@ from ginv import (
     check_axioms,
     group_inverse,
     hgroup_inverse,
+    hstack,
     image_of,
     kernel_of,
     kronecker,
@@ -27,7 +28,7 @@ from ginv import (
     two_inverse_prescribed,
     unvec,
 )
-
+from ginv.hgroup import _constrained_solve
 from ginv.scalar import GaussianRational as GR
 
 from conftest import POOL, small_random_matrices
@@ -44,6 +45,23 @@ def square_triples(max_dim=3):
     return st.integers(1, max_dim).flatmap(
         lambda n: st.tuples(square(n), square(n), square(n))
     )
+
+
+@st.composite
+def constrained_systems(draw, max_dim=4):
+    """(outer, basis, rhs): outer and basis are products u v of rank <= r,
+    so ker(outer) /\\ im(basis) is often nonzero; rhs = outer basis w."""
+    n = draw(st.integers(1, max_dim))
+    grid = lambda rows, cols: Matrix(
+        [[draw(st.sampled_from(POOL)) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
+
+    def low_rank():
+        r = draw(st.integers(0, n))
+        return grid(n, r).matmul(grid(r, n))
+
+    outer, basis = low_rank(), low_rank()
+    return outer, basis, outer.matmul(basis).matmul(grid(n, n))
 
 
 class TestHgroupInverse:
@@ -129,6 +147,20 @@ class TestConstrainedSystems:
             r2 = solve_px_system(a)
             assert r1.unique and r1.solution == x
             assert r2.unique and r2.solution == x
+
+    @given(constrained_systems())
+    @settings(max_examples=80, deadline=None)
+    @example((Matrix([[1, 0], [0, 0]]), Matrix.identity(2), Matrix.zeros(2, 2)))
+    @example((Matrix.zeros(3, 3), Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]]), Matrix.zeros(3, 3)))
+    def test_homogeneous_dimension_by_rank_nullity(self, system):
+        # the public systems always give 0; the examples give 1 and 2
+        outer, basis, rhs = system
+        result = _constrained_solve(outer, basis, rhs)
+        kernel = nullspace_basis(outer.matmul(basis))
+        expected = rank(basis.matmul(hstack(*kernel))) if kernel else 0
+        assert result.homogeneous_dimension == expected
+        assert result.unique == (expected == 0)
+        assert outer.matmul(result.solution) == rhs
 
 
 class TestBcInverse:

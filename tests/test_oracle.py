@@ -3,9 +3,10 @@
 The oracle is sympy's ``DomainMatrix`` over ``QQ_I``: ginv matrices are read
 entry by entry, and every rank, product and comparison on the oracle side is
 sympy's own, so no ginv elimination is involved.  The index comes from a
-sympy rank chain, group invertibility from the ranks of a and a^2, the group
-and Drazin inverses are judged by their defining equations, and the core-EP
-projector by being a Hermitian idempotent with image im(a^k).
+sympy rank chain, group invertibility from the ranks of a and a^2, the
+Moore-Penrose, group, Drazin and higher-order group inverses are judged by
+their defining equations (x in aR and x in Ra by ranks of stacked matrices),
+and the core-EP projector by being a Hermitian idempotent with image im(a^k).
 """
 
 import pytest
@@ -23,7 +24,11 @@ from ginv import (
     core_ep_decompose,
     drazin_inverse,
     group_inverse,
+    hgroup_inverse,
+    mp_inverse,
     nilpotency_and_index,
+    solve_ax_system,
+    solve_px_system,
 )
 from ginv.scalar import GaussianRational as GR
 
@@ -142,3 +147,28 @@ def test_core_ep_projector(a):
     assert same(adj(p), p) and same(p * p, p)
     assert p.rank() == sk.rank() == p.hstack(sk).rank()
     assert same(lift(d.core), p * s)
+
+
+@given(square_matrices())
+@settings(max_examples=60, deadline=None)
+def test_mp_inverse(a):
+    s, x = lift(a), lift(mp_inverse(a))
+    assert same(x * s * x, x) and same(s * x * s, s)
+    assert same(adj(s * x), s * x) and same(adj(x * s), x * s)
+
+
+@given(square_matrices())
+@settings(max_examples=40, deadline=None)
+def test_hgroup_inverse_and_its_systems(a):
+    h = hgroup_inverse(a)
+    s, x = lift(a), lift(h)
+    s2, star = s * s, adj(s)
+    assert same(x * s * x, x)
+    assert same(s2 * x * s2, s2 * s)
+    assert same(adj(s2 * x * star), s2 * x * star)
+    assert same(adj(star * x * s2), star * x * s2)
+    assert s.hstack(x).rank() == s.rank()  # x in aR: columns of x in im(a)
+    assert s.vstack(x).rank() == s.rank()  # x in Ra: rows of x in the row space of a
+    for result in (solve_ax_system(a), solve_px_system(a)):
+        assert same(lift(result.solution), x)
+        assert result.homogeneous_dimension == 0

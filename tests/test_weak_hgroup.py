@@ -1,5 +1,6 @@
 """Weak higher-order group inverse: paths, systems, orthogonal sums."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,8 @@ from ginv import (
     weak_hgroup_via_system,
     weak_mp_inverse,
 )
+from ginv.verify import weak_system_checks
+
 from conftest import block_embed, small_random_matrices
 
 # canonical witness with a nonzero alignment residue nil * core* != 0:
@@ -65,7 +68,13 @@ class TestThreePaths:
         mats = list(small_random_matrices(seed=89, count=20, square=True))
         for a in mats + [MISALIGNED]:
             p1, _, p3 = weak_hgroup_paths(a)
-            assert p1 == p3
+            assert p1 == p3 == hgroup_inverse(core_ep_decompose(a).core)
+
+    def test_derives_each_quantity_once(self, fx, calls):
+        # core+, (core+ core^3 core+)+ and (w a^3 w)+; one HGROUP verification
+        weak_hgroup_paths(fx.A)
+        assert calls["mp_inverse"] == 3
+        assert calls["check_axioms"] == 1
 
     def test_alignment_governs_the_weak_mp_route(self):
         p1, p2, p3 = weak_hgroup_paths(MISALIGNED)
@@ -95,8 +104,22 @@ class TestViaSystem:
         a2 = fx.A.matmul(fx.A)
         assert a2.matmul(x).matmul(a2).matmul(w) == (fx.A**3).matmul(w)
 
+    def test_system_names_in_order(self, fx):
+        checks = weak_system_checks(fx.A, fx.Z, weak_mp_inverse(fx.A))
+        assert [c.name for c in checks] == [
+            "x in (aw)R",
+            "x in R(wa)",
+            "xax=x",
+            "(a2xa2)w=a3w",
+            "(a2xa*)*=a2xa*",
+            "(a*xa2)*=a*xa2",
+        ]
+        assert all(c.holds for c in checks)
+
     def test_refuses_unverified_value(self):
-        with pytest.raises(VerificationError):
+        # the gate names every failed condition
+        failed = "x in (aw)R, xax=x, (a2xa2)w=a3w, (a2xa*)*=a2xa*, (a*xa2)*=a*xa2"
+        with pytest.raises(VerificationError, match=rf"^candidate failed: {re.escape(failed)}$"):
             weak_hgroup_via_system(MISALIGNED)
 
 
