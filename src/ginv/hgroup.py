@@ -22,7 +22,7 @@ from .errors import (
     NotBcInvertibleError,
     NotTwoInvertibleError,
 )
-from .matrix import Matrix, SubspaceDescriptor, rank, solve_right
+from .matrix import Matrix, SubspaceDescriptor, _solve, rank
 from .pinv import mp_inverse
 from .verify import InverseKind, verified
 
@@ -67,14 +67,14 @@ def _constrained_solve(outer: Matrix, basis: Matrix, rhs: Matrix) -> Constrained
 
     The homogeneous freedom ker(outer) /\\ im(basis) has dimension
     rank(basis) - rank(outer basis), by rank-nullity on outer restricted
-    to im(basis).
+    to im(basis).  The elimination that solves for u also gives
+    rank(outer basis).
     """
-    restricted = outer.matmul(basis)
     try:
-        u = solve_right(restricted, rhs)
+        u, restricted_rank = _solve(outer.matmul(basis), rhs)
     except NoSolutionError as exc:
         raise InconsistentSystemError("constrained system has no solution") from exc
-    hom = rank(basis) - rank(restricted)
+    hom = rank(basis) - restricted_rank
     return ConstrainedSolveResult(basis.matmul(u), hom == 0, hom)
 
 

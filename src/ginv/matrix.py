@@ -53,10 +53,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        m = cls([[ZERO] * cols for _ in range(rows)])
-        if rows == 0:
-            m = cls([], cols=cols)
-        return m
+        return cls([[ZERO] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
     def column(cls, values: Sequence[object]) -> "Matrix":
@@ -162,8 +159,6 @@ class Matrix:
                     for cb in cols_b
                 ]
             )
-        if not out:
-            return Matrix.zeros(0, other.cols)
         return Matrix(out, cols=other.cols)
 
     def __pow__(self, exponent: int) -> "Matrix":
@@ -227,12 +222,9 @@ def hstack(*matrices: Matrix) -> Matrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionError("hstack requires equal row counts")
-    total = sum(m.cols for m in mats)
-    if rows == 0:
-        return Matrix.zeros(0, total)
     return Matrix(
         [sum((list(m.row(i)) for m in mats), []) for i in range(rows)],
-        cols=total,
+        cols=sum(m.cols for m in mats),
     )
 
 
@@ -270,8 +262,7 @@ def rref(a: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
         r += 1
         if r == rows:
             break
-    reduced = Matrix(data, cols=cols) if rows else Matrix.zeros(0, cols)
-    return reduced, len(pivots), tuple(pivots)
+    return Matrix(data, cols=cols), len(pivots), tuple(pivots)
 
 
 def rank(a: Matrix) -> int:
@@ -280,10 +271,15 @@ def rank(a: Matrix) -> int:
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix:
     """Canonical u with a*u = b (free variables zero); NoSolutionError otherwise."""
+    return _solve(a, b)[0]
+
+
+def _solve(a: Matrix, b: Matrix) -> tuple[Matrix, int]:
+    """(solve_right(a, b), rank(a)) from one elimination of [a|b]."""
     if a.rows != b.rows:
         raise DimensionError(f"cannot solve {a.shape} u = {b.shape}")
     reduced, rk, pivots = rref(hstack(a, b))
-    for idx, j in enumerate(pivots):
+    for j in pivots:
         if j >= a.cols:
             raise NoSolutionError(
                 f"right-hand column {j - a.cols} is outside the column space"
@@ -292,9 +288,8 @@ def solve_right(a: Matrix, b: Matrix) -> Matrix:
     for i, j in enumerate(pivots):
         for k in range(b.cols):
             out[j][k] = reduced[i, a.cols + k]
-    if a.cols == 0:
-        return Matrix.zeros(0, b.cols)
-    return Matrix(out, cols=b.cols)
+    # consistent, so every pivot lies in a's columns and rk = rank(a)
+    return Matrix(out, cols=b.cols), rk
 
 
 def invert(a: Matrix) -> Matrix:
@@ -335,12 +330,8 @@ class FullRankFactorization:
 def full_rank_factorize(a: Matrix) -> FullRankFactorization:
     """f = pivot columns of a, g = nonzero rows of rref(a); a = f*g exactly."""
     reduced, rk, pivots = rref(a)
-    if rk == 0:
-        f = Matrix.zeros(a.rows, 0)
-        g = Matrix.zeros(0, a.cols)
-    else:
-        f = Matrix([[a[i, j] for j in pivots] for i in range(a.rows)], cols=rk)
-        g = Matrix([reduced.row(i) for i in range(rk)], cols=a.cols)
+    f = Matrix([[a[i, j] for j in pivots] for i in range(a.rows)], cols=rk)
+    g = Matrix([reduced.row(i) for i in range(rk)], cols=a.cols)
     if f.matmul(g) != a:
         raise AssertionError("full-rank factorization failed to reproduce input")
     return FullRankFactorization(f, g, rk)
@@ -390,7 +381,9 @@ def subspace_relate(p: SubspaceDescriptor, q: SubspaceDescriptor, mode: str) -> 
     if mode == "contains":
         return _image_contains(u, v)
     if mode == "equals":
-        return _image_contains(u, v) and _image_contains(v, u)
+        # im(u) = im(v) iff rank(u) = rank([u|v]) = rank(v)
+        both = rank(hstack(u, v))
+        return rank(u) == both == rank(v)
     raise ValueError(f"unknown subspace relation {mode!r}")
 
 
@@ -426,8 +419,6 @@ def kronecker(p: Matrix, q: Matrix) -> Matrix:
                 pij = p[i, j]
                 row.extend(pij * q[k, l] for l in range(q.cols))
             out.append(row)
-    if not out:
-        return Matrix.zeros(0, p.cols * q.cols)
     return Matrix(out, cols=p.cols * q.cols)
 
 

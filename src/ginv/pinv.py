@@ -1,9 +1,12 @@
 """Moore-Penrose inverse over Q(i) and the associated orthogonal projectors.
 
-Existence never fails here: for any full-rank factorization a = f*g over
-Q(i) the Gram matrices f*f and g g* are invertible because the scalar norm
-re^2 + im^2 is positive definite.  A singular Gram matrix therefore means
-a bug, not a bad input, and is raised as VerificationError.
+For a full-rank factorization a = f g (f is m x r, g is r x n, both of
+rank r) the inverse is a+ = g* (f* a g*)^-1 f*, with one r x r inverse
+(Ben-Israel & Greville, Generalized Inverses, 2003, ch. 1).  Existence
+never fails here: the middle factor f* a g* = (f* f)(g g*) is a product of
+two Gram matrices, each invertible over Q(i) because the scalar norm
+re^2 + im^2 is positive definite.  A singular middle factor therefore
+means a bug, not a bad input, and is raised as VerificationError.
 """
 
 from __future__ import annotations
@@ -13,18 +16,17 @@ from .matrix import Matrix, full_rank_factorize, invert
 
 
 def mp_inverse(a: Matrix) -> Matrix:
-    """The unique x with xax=x, axa=a, (ax)* = ax, (xa)* = xa."""
+    """The unique x with xax=x, axa=a, (ax)* = ax, (xa)* = xa: g* (f* a g*)^-1 f*."""
     frf = full_rank_factorize(a)
     f, g = frf.f, frf.g
     try:
-        gram_g = invert(g.matmul(g.h))
-        gram_f = invert(f.h.matmul(f))
+        middle = invert(f.h.matmul(a).matmul(g.h))
     except SingularMatrixError as exc:
         raise VerificationError(
-            "Gram matrix of a full-rank factor is singular; "
+            "middle factor f* a g* of a full-rank factorization is singular; "
             "norm positivity of Q(i) is violated"
         ) from exc
-    return g.h.matmul(gram_g).matmul(gram_f).matmul(f.h)
+    return g.h.matmul(middle).matmul(f.h)
 
 
 def image_projector(a: Matrix) -> Matrix:

@@ -1,10 +1,9 @@
 """Exact arithmetic in Q(i), the field of Gaussian rationals.
 
-A value is a pair of arbitrary-precision rationals (real and imaginary
-part).  The rational substrate is ``gmpy2.mpq`` when available (a C
-implementation with the same contract: values are always stored reduced
-with a positive denominator, so scalar equality is structural) and falls
-back to ``fractions.Fraction``; ``SUBSTRATE`` names the one imported.
+A value is a pair of ``fractions.Fraction`` (real and imaginary part).
+A Fraction is always stored reduced with a positive denominator, so scalar
+equality is structural.  ``SUBSTRATE`` names that rational type for
+benchmark run records.
 
 The text form of a scalar is fixed by one grammar, shared with the matrix
 document format of :mod:`ginv.cli`:
@@ -32,19 +31,12 @@ from typing import Union
 
 from .errors import ParseError
 
-try:
-    from gmpy2 import mpq as _Q
-
-    SUBSTRATE = "gmpy2.mpq"
-except ImportError:
-    _Q = Fraction
-    SUBSTRATE = "fractions.Fraction"
+SUBSTRATE = "fractions.Fraction"
 
 _MAX_DIGITS = 4300
 
-_Q_ZERO = _Q(0)
-_Q_ONE = _Q(1)
-_RATIONAL = (int, Fraction, type(_Q_ZERO))
+_Q_ZERO = Fraction(0)
+_RATIONAL = (int, Fraction)
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["GaussianRational", int, Fraction]
@@ -56,12 +48,12 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = _Q(re)
-        self.im = _Q(im)
+        self.re = Fraction(re)
+        self.im = Fraction(im)
 
     @classmethod
     def _raw(cls, re, im) -> "GaussianRational":
-        # internal fast path: arguments are already substrate rationals
+        # internal fast path: arguments are already Fractions
         z = object.__new__(cls)
         z.re = re
         z.im = im
@@ -159,7 +151,7 @@ def _coerce(value: ScalarLike) -> GaussianRational | None:
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, _RATIONAL):
-        return GaussianRational._raw(_Q(value), _Q_ZERO)
+        return GaussianRational._raw(Fraction(value), _Q_ZERO)
     return None
 
 
@@ -261,8 +253,8 @@ def _parse_urat(token: str, start: int):
         denominator = int(token[dstart:pos])
         if denominator == 0:
             raise ParseError("zero denominator", offset=dstart)
-        return _Q(numerator, denominator), pos
-    return _Q(numerator), pos
+        return Fraction(numerator, denominator), pos
+    return Fraction(numerator), pos
 
 
 # -- formatting ------------------------------------------------------------
@@ -284,5 +276,5 @@ def scalar_format(z: ScalarLike) -> str:
 def _rational_text(q) -> str:
     # Decimal writes an int of any length exactly; str(int) stops at the
     # interpreter's process-global int-to-text digit limit
-    num, den = Decimal(int(q.numerator)), int(q.denominator)
+    num, den = Decimal(q.numerator), q.denominator
     return str(num) if den == 1 else f"{num}/{Decimal(den)}"

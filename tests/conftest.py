@@ -53,7 +53,7 @@ def fx():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Per-test call counts of check_axioms, kronecker and mp_inverse.
+    """Per-test call counts of check_axioms, kronecker, mp_inverse, invert and rref.
 
     Each is rebound in every ginv.* namespace that holds it, because the
     modules import each other's functions by name.  A call made inside
@@ -65,6 +65,8 @@ def calls(monkeypatch):
         "check_axioms": ginv.verify.check_axioms,
         "kronecker": ginv.matrix.kronecker,
         "mp_inverse": ginv.pinv.mp_inverse,
+        "invert": ginv.matrix.invert,
+        "rref": ginv.matrix.rref,
     }
     tally = dict.fromkeys(originals, 0)
 

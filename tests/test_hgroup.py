@@ -148,6 +148,12 @@ class TestConstrainedSystems:
             assert r1.unique and r1.solution == x
             assert r2.unique and r2.solution == x
 
+    def test_one_elimination_per_solve(self, fx, calls):
+        # 2 for each of the two mp_inverse calls, 1 for u together with
+        # rank(outer basis), 1 for rank(basis)
+        solve_ax_system(fx.A)
+        assert calls["rref"] == 6
+
     @given(constrained_systems())
     @settings(max_examples=80, deadline=None)
     @example((Matrix([[1, 0], [0, 0]]), Matrix.identity(2), Matrix.zeros(2, 2)))
@@ -208,6 +214,14 @@ class TestTwoInversePrescribed:
 
     def test_identity(self, fx):
         assert two_inverse_prescribed(fx.I2, image_of(fx.I2), kernel_of(fx.I2)) == fx.I2
+
+    def test_rref_count(self, fx, calls):
+        # 2 for mp_inverse, 3 ranks per subspace equality, and 2 nullspace
+        # bases for ker(x)=S
+        pair = build_bc_pair(fx.A)
+        calls.update(dict.fromkeys(calls, 0))
+        two_inverse_prescribed(fx.A, image_of(pair.b), kernel_of(pair.c))
+        assert calls["rref"] == 10
 
     def test_wrong_subspaces_rejected(self, fx):
         with pytest.raises(NotTwoInvertibleError, match=r"im\(x\)=T"):

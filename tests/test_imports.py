@@ -1,10 +1,15 @@
-"""Every name a ginv module imports is used in that module.
+"""Static checks on the ginv sources, with the stdlib ``ast`` module.
 
-A stdlib stand-in for a linter's unused-import rule; ``__init__.py`` is
-skipped because its imports are the public re-exports.
+Every name a ginv module imports is used in that module (a stand-in for a
+linter's unused-import rule; ``__init__.py`` is skipped because its imports
+are the public re-exports), every module-level private name is read
+somewhere in the package, and the third-party modules the package imports
+are exactly its declared dependencies.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +17,8 @@ import pytest
 import ginv
 
 PACKAGE = Path(ginv.__file__).resolve().parent
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +40,91 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def module_statements(body):
+    """Top-level statements, including those inside module-level if/try blocks."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
+                yield from module_statements(block)
+            for handler in getattr(node, "handlers", []):
+                yield from module_statements(handler.body)
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in module_statements(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def reads(tree: ast.Module) -> set[str]:
+    """Names loaded, attributes read and names imported from sibling modules."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*(reads(tree) for tree in trees.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in private_definitions(tree) - read
+    )
+
+
+def test_detects_a_dead_private_name():
+    sources = {
+        "a": "_used = 1\n_dead = 2\ntry:\n    _also_dead = 3\nexcept ImportError:\n    pass\n",
+        "b": "from .a import _used\n",
+    }
+    assert dead_private_names(sources) == ["a._also_dead", "a._dead"]
+
+
+def test_no_dead_private_name():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert dead_private_names(sources) == []
+
+
+def third_party_imports(sources: list[str]) -> set[str]:
+    top = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                top.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                top.add(node.module.split(".")[0])
+    return {name for name in top if name not in sys.stdlib_module_names and name != "ginv"}
+
+
+def test_detects_a_third_party_import():
+    source = "import os\ntry:\n    from gmpy2 import mpq\nexcept ImportError:\n    pass\n"
+    assert third_party_imports([source]) == {"gmpy2"}
+
+
+def test_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = PACKAGE.parent.parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("no pyproject.toml next to an uninstalled source tree")
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+        for spec in project["dependencies"]
+    }
+    used = third_party_imports(path.read_text(encoding="utf-8") for path in SOURCES)
+    assert used == declared

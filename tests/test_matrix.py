@@ -18,6 +18,7 @@ from ginv import (
     kernel_of,
     kronecker,
     matrix_algebra,
+    mp_inverse,
     nilpotency_and_index,
     nullspace_basis,
     rank,
@@ -74,6 +75,49 @@ class TestAlgebra:
         g = Matrix.zeros(0, 3)
         assert f.matmul(g) == Matrix.zeros(2, 3)
         assert rank(f) == 0
+
+
+def grid(rows, cols, fill=0):
+    """rows x cols matrix built by the constructor alone, not by Matrix.zeros."""
+    return Matrix([[fill] * cols for _ in range(rows)], cols=cols)
+
+
+def frf_shapes(m):
+    frf = full_rank_factorize(m)
+    return frf.f.shape, frf.g.shape
+
+
+# every kernel operation on a matrix with no rows or no columns, with its
+# exact result; the plain constructor is the one path that builds them
+EMPTY_SHAPES = {
+    "zeros(0,3)": (lambda: Matrix.zeros(0, 3), grid(0, 3)),
+    "zeros(3,0)": (lambda: Matrix.zeros(3, 0), grid(3, 0)),
+    "zeros(0,0)": (lambda: Matrix.zeros(0, 0), grid(0, 0)),
+    "2x0 times 0x3": (lambda: Matrix.zeros(2, 0).matmul(Matrix.zeros(0, 3)), grid(2, 3)),
+    "0x2 times 2x3": (lambda: Matrix.zeros(0, 2).matmul(grid(2, 3, 1)), grid(0, 3)),
+    "hstack 0-row": (lambda: hstack(grid(0, 2), grid(0, 0), grid(0, 3)), grid(0, 5)),
+    "rref 0-row": (lambda: rref(grid(0, 3)), (grid(0, 3), 0, ())),
+    "rref 0-col": (lambda: rref(grid(3, 0)), (grid(3, 0), 0, ())),
+    "solve 0-row": (lambda: solve_right(grid(0, 2), grid(0, 3)), grid(2, 3)),
+    "solve 0-col": (lambda: solve_right(grid(2, 0), grid(2, 3)), grid(0, 3)),
+    "solve 0-col 0-rhs": (lambda: solve_right(grid(2, 0), grid(2, 0)), grid(0, 0)),
+    "kronecker 0-row": (lambda: kronecker(grid(0, 2), grid(3, 1, 1)), grid(0, 2)),
+    "kronecker 0-col": (lambda: kronecker(grid(2, 0), grid(1, 3, 1)), grid(2, 0)),
+    "kronecker by 0-row": (lambda: kronecker(grid(2, 2, 1), grid(0, 3)), grid(0, 6)),
+    "h 0-row": (lambda: grid(0, 3).h, grid(3, 0)),
+    "h 0-col": (lambda: grid(3, 0).h, grid(0, 3)),
+    "frf zeros(2,3)": (lambda: frf_shapes(grid(2, 3)), ((2, 0), (0, 3))),
+    "frf zeros(0,3)": (lambda: frf_shapes(grid(0, 3)), ((0, 0), (0, 3))),
+    "frf zeros(3,0)": (lambda: frf_shapes(grid(3, 0)), ((3, 0), (0, 0))),
+    "mp zeros(0,3)": (lambda: mp_inverse(grid(0, 3)), grid(3, 0)),
+    "mp zeros(3,0)": (lambda: mp_inverse(grid(3, 0)), grid(0, 3)),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_SHAPES)
+def test_empty_shapes(case):
+    compute, expected = EMPTY_SHAPES[case]
+    assert compute() == expected
 
 
 class TestAdjoint:

@@ -4,9 +4,10 @@ The oracle is sympy's ``DomainMatrix`` over ``QQ_I``: ginv matrices are read
 entry by entry, and every rank, product and comparison on the oracle side is
 sympy's own, so no ginv elimination is involved.  The index comes from a
 sympy rank chain, group invertibility from the ranks of a and a^2, the
-Moore-Penrose, group, Drazin and higher-order group inverses are judged by
-their defining equations (x in aR and x in Ra by ranks of stacked matrices),
-and the core-EP projector by being a Hermitian idempotent with image im(a^k).
+Moore-Penrose (on rectangular matrices too), group, Drazin and higher-order
+group inverses are judged by their defining equations (x in aR and x in Ra
+by ranks of stacked matrices), and the core-EP projector by being a
+Hermitian idempotent with image im(a^k).
 """
 
 import pytest
@@ -66,6 +67,19 @@ def square_matrices(draw, max_n=6):
             for row in a:
                 row[j] = row[j] - c * row[i]
     return Matrix(a)
+
+
+@st.composite
+def rectangular_matrices(draw, max_n=6):
+    """m x n with m != n: generic, or rank-deficient u v with u of m x r, r < min(m, n)."""
+    m = draw(st.integers(1, max_n))
+    n = draw(st.integers(1, max_n).filter(lambda n: n != m))
+    pick = lambda: draw(st.sampled_from(POOL))
+    grid = lambda rows, cols: [[pick() for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        return Matrix(grid(m, n))
+    r = draw(st.integers(0, min(m, n) - 1))
+    return Matrix(grid(m, r), cols=r).matmul(Matrix(grid(r, n), cols=n))
 
 
 # -- the oracle ----------------------------------------------------------------
@@ -149,10 +163,11 @@ def test_core_ep_projector(a):
     assert same(lift(d.core), p * s)
 
 
-@given(square_matrices())
-@settings(max_examples=60, deadline=None)
+@given(st.one_of(square_matrices(), rectangular_matrices()))
+@settings(max_examples=80, deadline=None)
 def test_mp_inverse(a):
     s, x = lift(a), lift(mp_inverse(a))
+    assert x.shape == (a.cols, a.rows)
     assert same(x * s * x, x) and same(s * x * s, s)
     assert same(adj(s * x), s * x) and same(adj(x * s), x * s)
 

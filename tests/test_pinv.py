@@ -60,6 +60,12 @@ class TestMpInverse:
             assert mp_inverse(x) == a
             assert mp_inverse(a.h) == x.h
 
+    def test_one_inverse_per_call(self, fx, calls):
+        # a+ = g* (f* a g*)^-1 f*: one elimination to factor, one to invert
+        mp_inverse(fx.A)
+        assert calls["invert"] == 1
+        assert calls["rref"] == 2
+
     def test_gram_rank_identity(self):
         # rank(a* a) = rank(a): the norm-positivity consequence that
         # makes the factorization formula total
