@@ -42,14 +42,12 @@ from .matrix import (
     Matrix,
     MembershipWitness,
     SubspaceDescriptor,
-    adjoint,
     full_rank_factorize,
     hstack,
     ideal_membership,
     image_of,
     kernel_of,
     kronecker,
-    matrix_algebra,
     nilpotency_and_index,
     nullspace_basis,
     rank,
@@ -59,11 +57,9 @@ from .matrix import (
     vec,
     unvec,
 )
-from .pinv import coimage_projector, image_projector, mp_inverse
+from .pinv import mp_inverse
 from .scalar import (
     GaussianRational,
-    scalar_arith,
-    scalar_conjugate,
     scalar_format,
     scalar_parse,
 )
@@ -102,11 +98,9 @@ __all__ = [
     "SubspaceDescriptor",
     "UsageError",
     "VerificationError",
-    "adjoint",
     "bc_inverse",
     "build_bc_pair",
     "check_axioms",
-    "coimage_projector",
     "core_ep_decompose",
     "drazin_inverse",
     "full_rank_factorize",
@@ -115,10 +109,8 @@ __all__ = [
     "hstack",
     "ideal_membership",
     "image_of",
-    "image_projector",
     "kernel_of",
     "kronecker",
-    "matrix_algebra",
     "mp_inverse",
     "nilpotency_and_index",
     "nullspace_basis",
@@ -126,8 +118,6 @@ __all__ = [
     "rank",
     "residual_summary",
     "rref",
-    "scalar_arith",
-    "scalar_conjugate",
     "scalar_format",
     "scalar_parse",
     "solve_ax_system",

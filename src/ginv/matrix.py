@@ -196,25 +196,6 @@ class Matrix:
         )
 
 
-def adjoint(a: Matrix) -> Matrix:
-    return a.h
-
-
-def matrix_algebra(op: str, *operands) -> Matrix:
-    """Dispatch add/sub/mul/scale/pow over exact matrices."""
-    if op == "add":
-        return operands[0] + operands[1]
-    if op == "sub":
-        return operands[0] - operands[1]
-    if op == "mul":
-        return operands[0].matmul(operands[1])
-    if op == "scale":
-        return operands[1].scale(operands[0])
-    if op == "pow":
-        return operands[0] ** operands[1]
-    raise ValueError(f"unknown matrix operation {op!r}")
-
-
 def hstack(*matrices: Matrix) -> Matrix:
     mats = [m for m in matrices]
     if not mats:

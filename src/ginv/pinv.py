@@ -1,4 +1,4 @@
-"""Moore-Penrose inverse over Q(i) and the associated orthogonal projectors.
+"""Moore-Penrose inverse over Q(i).
 
 For a full-rank factorization a = f g (f is m x r, g is r x n, both of
 rank r) the inverse is a+ = g* (f* a g*)^-1 f*, with one r x r inverse
@@ -11,7 +11,7 @@ means a bug, not a bad input, and is raised as VerificationError.
 
 from __future__ import annotations
 
-from .errors import DimensionError, SingularMatrixError, VerificationError
+from .errors import SingularMatrixError, VerificationError
 from .matrix import Matrix, full_rank_factorize, invert
 
 
@@ -28,16 +28,3 @@ def mp_inverse(a: Matrix) -> Matrix:
         ) from exc
     return g.h.matmul(middle).matmul(f.h)
 
-
-def image_projector(a: Matrix) -> Matrix:
-    """p_a = a a+, the Hermitian idempotent with im(p_a) = im(a)."""
-    if not a.is_square:
-        raise DimensionError("image projector is defined for square matrices")
-    return a.matmul(mp_inverse(a))
-
-
-def coimage_projector(a: Matrix) -> Matrix:
-    """q_a = a+ a, the Hermitian idempotent with im(q_a) = im(a*)."""
-    if not a.is_square:
-        raise DimensionError("coimage projector is defined for square matrices")
-    return mp_inverse(a).matmul(a)

@@ -136,10 +136,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational._raw(self.re, -self.im)
 
-    def norm2(self):
-        """re^2 + im^2; zero exactly when the scalar is zero."""
-        return self.re * self.re + self.im * self.im
-
     def __str__(self) -> str:
         return scalar_format(self)
 
@@ -157,30 +153,6 @@ def _coerce(value: ScalarLike) -> GaussianRational | None:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)
-
-
-def scalar_arith(op: str, lhs: ScalarLike, rhs: ScalarLike) -> GaussianRational:
-    """Dispatch one exact field operation: add, sub, mul or div."""
-    a, b = _coerce(lhs), _coerce(rhs)
-    if a is None or b is None:
-        raise TypeError("operands must be Gaussian rationals")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown scalar operation {op!r}")
-
-
-def scalar_conjugate(z: ScalarLike) -> GaussianRational:
-    z = _coerce(z)
-    if z is None:
-        raise TypeError("operand must be a Gaussian rational")
-    return z.conjugate()
 
 
 # -- parsing ---------------------------------------------------------------

@@ -75,23 +75,20 @@ def solve_two_sided_system(a: Matrix) -> ConstrainedSolveResult:
 
     Uniqueness is constructive: any solution satisfies
     x = (x a) x = (m+ a) x = m+ (a x) = m+ a m+, so the system has at most
-    one solution.  The certificate m+ a m+ = m+ makes m+ that solution;
-    when it fails, the fallback candidate m+ a m+ is tested and the system
-    is reported inconsistent if it fails too.
+    one solution, m+ a m+.  That one candidate is checked against the three
+    equations, and the system is reported inconsistent when it fails them.
     """
     if not a.is_square:
         raise DimensionError("system is defined for square matrices")
     w = weak_mp_inverse(a)
     md = mp_inverse(w.matmul(a**3).matmul(w))
-    if md.matmul(a).matmul(md) == md:
-        return ConstrainedSolveResult(md, True, 0)
-    candidate = md.matmul(a).matmul(md)
+    x = md.matmul(a).matmul(md)
     if (
-        candidate.matmul(a).matmul(candidate) == candidate
-        and candidate.matmul(a) == md.matmul(a)
-        and a.matmul(candidate) == a.matmul(md)
+        x.matmul(a).matmul(x) == x
+        and x.matmul(a) == md.matmul(a)
+        and a.matmul(x) == a.matmul(md)
     ):
-        return ConstrainedSolveResult(candidate, True, 0)
+        return ConstrainedSolveResult(x, True, 0)
     raise InconsistentSystemError(
         "the two-sided system has no solution: m+ a m+ != m+"
     )

@@ -3,8 +3,9 @@
 Every name a ginv module imports is used in that module (a stand-in for a
 linter's unused-import rule; ``__init__.py`` is skipped because its imports
 are the public re-exports), every module-level private name is read
-somewhere in the package, and the third-party modules the package imports
-are exactly its declared dependencies.
+somewhere in the package, every module-level public name is read in the
+package or re-exported by ``__init__.py``, and the third-party modules the
+package imports are exactly its declared dependencies.
 """
 
 import ast
@@ -53,7 +54,7 @@ def module_statements(body):
                 yield from module_statements(handler.body)
 
 
-def private_definitions(tree: ast.Module) -> set[str]:
+def definitions(tree: ast.Module) -> set[str]:
     names = set()
     for node in module_statements(tree.body):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -61,7 +62,15 @@ def private_definitions(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return names
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    return {n for n in definitions(tree) if n.startswith("_") and not n.startswith("__")}
+
+
+def public_definitions(tree: ast.Module) -> set[str]:
+    return {n for n in definitions(tree) if not n.startswith("_")}
 
 
 def reads(tree: ast.Module) -> set[str]:
@@ -77,14 +86,19 @@ def reads(tree: ast.Module) -> set[str]:
     return out
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
+def dead_names(sources: dict[str, str], defined) -> list[str]:
+    """Names ``defined`` picks out of a module that no module of ``sources`` reads."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set().union(*(reads(tree) for tree in trees.values()))
     return sorted(
         f"{module}.{name}"
         for module, tree in trees.items()
-        for name in private_definitions(tree) - read
+        for name in defined(tree) - read
     )
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
 
 
 def test_detects_a_dead_private_name():
@@ -92,12 +106,29 @@ def test_detects_a_dead_private_name():
         "a": "_used = 1\n_dead = 2\ntry:\n    _also_dead = 3\nexcept ImportError:\n    pass\n",
         "b": "from .a import _used\n",
     }
-    assert dead_private_names(sources) == ["a._also_dead", "a._dead"]
+    assert dead_names(sources, private_definitions) == ["a._also_dead", "a._dead"]
 
 
 def test_no_dead_private_name():
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
-    assert dead_private_names(sources) == []
+    assert dead_names(package_sources(), private_definitions) == []
+
+
+def test_detects_a_dead_public_name():
+    # a name counts as live when a module reads it or __init__ re-exports it
+    sources = {
+        "a": "def used(): pass\ndef exported(): pass\nDEAD = 1\nclass Dead: pass\nused()\n",
+        "__init__": "from .a import exported\n",
+    }
+    assert dead_names(sources, public_definitions) == ["a.DEAD", "a.Dead"]
+
+
+# read from outside the package only: perfbench run records name the
+# rational type the kernel runs on
+READ_OUTSIDE = ["scalar.SUBSTRATE"]
+
+
+def test_no_dead_public_name():
+    assert dead_names(package_sources(), public_definitions) == READ_OUTSIDE
 
 
 def third_party_imports(sources: list[str]) -> set[str]:

@@ -7,7 +7,10 @@ sympy rank chain, group invertibility from the ranks of a and a^2, the
 Moore-Penrose (on rectangular matrices too), group, Drazin and higher-order
 group inverses are judged by their defining equations (x in aR and x in Ra
 by ranks of stacked matrices), and the core-EP projector by being a
-Hermitian idempotent with image im(a^k).
+Hermitian idempotent with image im(a^k).  The weak MP and weak higher-order
+group inverses are judged by the Moore-Penrose and higher-order group
+equations of the core P a, with P = F (F*F)^-1 F* built from a sympy column
+basis F of a^k.
 """
 
 import pytest
@@ -30,6 +33,8 @@ from ginv import (
     nilpotency_and_index,
     solve_ax_system,
     solve_px_system,
+    weak_hgroup_inverse,
+    weak_mp_inverse,
 )
 from ginv.scalar import GaussianRational as GR
 
@@ -123,6 +128,34 @@ def oracle_index(a: DomainMatrix) -> int:
     return k
 
 
+def oracle_core(a: DomainMatrix) -> DomainMatrix:
+    """P a, with P = F (F*F)^-1 F* the orthogonal projector onto im(a^k)."""
+    f = power(a, oracle_index(a)).columnspace()
+    return f * (adj(f) * f).inv() * adj(f) * a
+
+
+def penrose_holds(s: DomainMatrix, x: DomainMatrix) -> bool:
+    return (
+        same(x * s * x, x)
+        and same(s * x * s, s)
+        and same(adj(s * x), s * x)
+        and same(adj(x * s), x * s)
+    )
+
+
+def hgroup_system_holds(s: DomainMatrix, x: DomainMatrix) -> bool:
+    """The HGROUP system; x in aR and x in Ra by ranks of stacked matrices."""
+    s2, star = s * s, adj(s)
+    return (
+        same(x * s * x, x)
+        and same(s2 * x * s2, s2 * s)
+        and same(adj(s2 * x * star), s2 * x * star)
+        and same(adj(star * x * s2), star * x * s2)
+        and s.hstack(x).rank() == s.rank()  # columns of x in im(a)
+        and s.vstack(x).rank() == s.rank()  # rows of x in the row space of a
+    )
+
+
 # -- the differential tests ------------------------------------------------------
 
 
@@ -168,22 +201,26 @@ def test_core_ep_projector(a):
 def test_mp_inverse(a):
     s, x = lift(a), lift(mp_inverse(a))
     assert x.shape == (a.cols, a.rows)
-    assert same(x * s * x, x) and same(s * x * s, s)
-    assert same(adj(s * x), s * x) and same(adj(x * s), x * s)
+    assert penrose_holds(s, x)
 
 
 @given(square_matrices())
 @settings(max_examples=40, deadline=None)
 def test_hgroup_inverse_and_its_systems(a):
-    h = hgroup_inverse(a)
-    s, x = lift(a), lift(h)
-    s2, star = s * s, adj(s)
-    assert same(x * s * x, x)
-    assert same(s2 * x * s2, s2 * s)
-    assert same(adj(s2 * x * star), s2 * x * star)
-    assert same(adj(star * x * s2), star * x * s2)
-    assert s.hstack(x).rank() == s.rank()  # x in aR: columns of x in im(a)
-    assert s.vstack(x).rank() == s.rank()  # x in Ra: rows of x in the row space of a
+    x = lift(hgroup_inverse(a))
+    assert hgroup_system_holds(lift(a), x)
     for result in (solve_ax_system(a), solve_px_system(a)):
         assert same(lift(result.solution), x)
         assert result.homogeneous_dimension == 0
+
+
+@given(square_matrices())
+@settings(max_examples=40, deadline=None)
+def test_weak_mp_inverse(a):
+    assert penrose_holds(oracle_core(lift(a)), lift(weak_mp_inverse(a)))
+
+
+@given(square_matrices())
+@settings(max_examples=40, deadline=None)
+def test_weak_hgroup_inverse(a):
+    assert hgroup_system_holds(oracle_core(lift(a)), lift(weak_hgroup_inverse(a)))
