@@ -8,7 +8,7 @@ nilpotent, with core* nil = 0 and nil core = 0 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DimensionError, NotGroupInvertibleError
 from .matrix import Matrix, index_chain, invert, rank
@@ -50,18 +50,15 @@ def drazin_inverse(a: Matrix) -> Matrix:
     return verified(InverseKind.DRAZIN, a, drazin_candidate(a))
 
 
-@dataclass(frozen=True)
-class CoreEpDecomposition:
+class CoreEpDecomposition(namedtuple("CoreEpDecomposition", "core nil index projector")):
     """a = core + nil with core* nil = 0, nil core = 0, nil nilpotent.
 
-    ``projector`` is the Hermitian idempotent P = f (f* f)^-1 f* onto
-    im(a^k) = im(f), f from index_chain(a), and core = P a has index <= 1.
+    A named tuple; ``index`` is the field k, not tuple.index.  ``projector``
+    is the Hermitian idempotent P = f (f* f)^-1 f* onto im(a^k) = im(f),
+    f from index_chain(a), and core = P a has index <= 1.
     """
 
-    core: Matrix
-    nil: Matrix
-    index: int
-    projector: Matrix
+    __slots__ = ()
 
 
 def core_ep_decompose(a: Matrix) -> CoreEpDecomposition:

@@ -13,7 +13,7 @@ prescribed image im(b) and kernel ker(c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DimensionError,
@@ -40,17 +40,17 @@ def hgroup_inverse(a: Matrix) -> Matrix:
     return verified(InverseKind.HGROUP, a, hgroup_candidate(a))
 
 
-@dataclass(frozen=True)
-class ConstrainedSolveResult:
+class ConstrainedSolveResult(
+    namedtuple("ConstrainedSolveResult", "solution unique homogeneous_dimension")
+):
     """Solution of a constrained linear system plus a uniqueness certificate.
 
-    ``homogeneous_dimension`` is the exact dimension of the solution set of
-    the associated homogeneous system; the solution is unique iff it is 0.
+    A named tuple.  ``homogeneous_dimension`` is the exact dimension of the
+    solution set of the associated homogeneous system; the solution is
+    unique iff it is 0.
     """
 
-    solution: Matrix
-    unique: bool
-    homogeneous_dimension: int
+    __slots__ = ()
 
 
 def _projectors(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -103,12 +103,10 @@ def solve_px_system(a: Matrix) -> ConstrainedSolveResult:
 # -- (b,c)-inverse -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BcPair:
-    """The fixed pair of a (b,c)-inverse problem; same ambient size as a."""
+class BcPair(namedtuple("BcPair", "b c")):
+    """The fixed pair (b, c) of a (b,c)-inverse problem; same ambient size as a."""
 
-    b: Matrix
-    c: Matrix
+    __slots__ = ()
 
 
 def build_bc_pair(a: Matrix) -> BcPair:

@@ -13,8 +13,8 @@ kernels work without special cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import DimensionError, NoSolutionError, SingularMatrixError
 from .scalar import ZERO, ONE, GaussianRational, _coerce, scalar_format
@@ -299,13 +299,13 @@ def nullspace_basis(a: Matrix) -> list[Matrix]:
     return basis
 
 
-@dataclass(frozen=True)
-class FullRankFactorization:
-    """a = f*g with f of full column rank and g of full row rank."""
+class FullRankFactorization(namedtuple("FullRankFactorization", "f g rank")):
+    """a = f*g with f of full column rank and g of full row rank.
 
-    f: Matrix
-    g: Matrix
-    rank: int
+    A named tuple of (f, g, rank): immutable, picklable and unpackable.
+    """
+
+    __slots__ = ()
 
 
 def full_rank_factorize(a: Matrix) -> FullRankFactorization:
@@ -321,16 +321,18 @@ def full_rank_factorize(a: Matrix) -> FullRankFactorization:
 # -- subspaces -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubspaceDescriptor:
-    """im(generator) when kind == "image", ker(generator) when kind == "kernel"."""
+class SubspaceDescriptor(namedtuple("SubspaceDescriptor", "kind generator")):
+    """im(generator) when kind == "image", ker(generator) when kind == "kernel".
 
-    kind: str
-    generator: Matrix
+    A named tuple of (kind, generator); any other kind is a ValueError.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("image", "kernel"):
-            raise ValueError(f"unknown subspace kind {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, kind: str, generator: Matrix):
+        if kind not in ("image", "kernel"):
+            raise ValueError(f"unknown subspace kind {kind!r}")
+        return super().__new__(cls, kind, generator)
 
     @property
     def ambient(self) -> int:
@@ -376,18 +378,18 @@ def _image_contains(v: Matrix, u: Matrix) -> bool:
 # -- ideal membership ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipWitness:
-    """Outcome of a one-sided ideal membership test.
+class MembershipWitness(
+    namedtuple("MembershipWitness", "relation holds witness", defaults=(None,))
+):
+    """Outcome of a one-sided ideal membership test: (relation, holds, witness).
 
     When ``holds`` the witness reconstructs x exactly: a*witness = x for
     x_in_aR, witness*a = x for x_in_Ra, a*witness*x = x for x_in_bRx and
     x*witness*a = x for x_in_xRc (the fixed element is passed as ``a``).
+    A negative outcome has witness None.
     """
 
-    relation: str
-    holds: bool
-    witness: Matrix | None = None
+    __slots__ = ()
 
 
 def kronecker(p: Matrix, q: Matrix) -> Matrix:

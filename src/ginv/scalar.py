@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
 
 from .errors import ParseError
 
@@ -38,16 +37,13 @@ _MAX_DIGITS = 4300
 _Q_ZERO = Fraction(0)
 _RATIONAL = (int, Fraction)
 
-RationalLike = Union[int, Fraction]
-ScalarLike = Union["GaussianRational", int, Fraction]
-
 
 class GaussianRational:
     """An element of Q(i), immutable by convention and always reduced."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         self.re = Fraction(re)
         self.im = Fraction(im)
 
@@ -61,7 +57,7 @@ class GaussianRational:
 
     # -- field operations -------------------------------------------------
 
-    def __add__(self, other: ScalarLike) -> "GaussianRational":
+    def __add__(self, other: GaussianRational | int | Fraction) -> "GaussianRational":
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -69,19 +65,19 @@ class GaussianRational:
 
     __radd__ = __add__
 
-    def __sub__(self, other: ScalarLike) -> "GaussianRational":
+    def __sub__(self, other: GaussianRational | int | Fraction) -> "GaussianRational":
         other = _coerce(other)
         if other is None:
             return NotImplemented
         return GaussianRational._raw(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other: ScalarLike) -> "GaussianRational":
+    def __rsub__(self, other: GaussianRational | int | Fraction) -> "GaussianRational":
         other = _coerce(other)
         if other is None:
             return NotImplemented
         return other - self
 
-    def __mul__(self, other: ScalarLike) -> "GaussianRational":
+    def __mul__(self, other: GaussianRational | int | Fraction) -> "GaussianRational":
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -94,7 +90,7 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: ScalarLike) -> "GaussianRational":
+    def __truediv__(self, other: GaussianRational | int | Fraction) -> "GaussianRational":
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -108,7 +104,7 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / n,
         )
 
-    def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
+    def __rtruediv__(self, other: GaussianRational | int | Fraction) -> "GaussianRational":
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -143,7 +139,7 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-def _coerce(value: ScalarLike) -> GaussianRational | None:
+def _coerce(value: GaussianRational | int | Fraction) -> GaussianRational | None:
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, _RATIONAL):
@@ -232,7 +228,7 @@ def _parse_urat(token: str, start: int):
 # -- formatting ------------------------------------------------------------
 
 
-def scalar_format(z: ScalarLike) -> str:
+def scalar_format(z: GaussianRational | int | Fraction) -> str:
     """Canonical text for a scalar; inverse of scalar_parse on its output."""
     z = _coerce(z)
     if z is None:

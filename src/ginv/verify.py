@@ -9,13 +9,11 @@ deterministic: identical inputs give identical reports.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
 
 from .errors import DimensionError, VerificationError
 from .matrix import (
     Matrix,
-    MembershipWitness,
     SubspaceDescriptor,
     ideal_membership,
     image_of,
@@ -39,28 +37,31 @@ class InverseKind(enum.Enum):
     TWO_PRESCRIBED = "two"
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    """One defining equation: name, outcome, and an exact certificate."""
+class AxiomCheck(
+    namedtuple("AxiomCheck", "name holds residual witness note", defaults=(None,) * 3)
+):
+    """One defining equation: name, outcome, and an exact certificate.
 
-    name: str
-    holds: bool
-    residual: Optional[Matrix] = None
-    witness: Optional[MembershipWitness] = None
-    note: Optional[str] = None
+    A named tuple; residual (a Matrix), witness (a MembershipWitness) and
+    note (text) default to None.
+    """
 
-
-@dataclass(frozen=True)
-class AxiomReport:
-    kind: InverseKind
-    checks: tuple[AxiomCheck, ...]
-    overall: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "overall", all(c.holds for c in self.checks))
+    __slots__ = ()
 
 
-def _equation(name: str, lhs: Matrix, rhs: Matrix, note: Optional[str] = None) -> AxiomCheck:
+class AxiomReport(namedtuple("AxiomReport", "kind checks overall")):
+    """A named tuple (kind, checks, overall); overall = all checks hold."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: InverseKind, checks: tuple):
+        return super().__new__(cls, kind, checks, all(c.holds for c in checks))
+
+    def __getnewargs__(self):
+        return self.kind, self.checks
+
+
+def _equation(name: str, lhs: Matrix, rhs: Matrix, note: str | None = None) -> AxiomCheck:
     residual = lhs - rhs
     return AxiomCheck(name, residual.is_zero(), residual=residual, note=note)
 

@@ -28,7 +28,7 @@ from .errors import (
 from .hgroup import ConstrainedSolveResult, hgroup_inverse
 from .matrix import Matrix
 from .pinv import mp_inverse
-from .verify import InverseKind, gate, verified, weak_system_checks
+from .verify import InverseKind, _equation, gate, verified, weak_system_checks
 
 
 def weak_hgroup_inverse(a: Matrix) -> Matrix:
@@ -76,22 +76,21 @@ def solve_two_sided_system(a: Matrix) -> ConstrainedSolveResult:
     Uniqueness is constructive: any solution satisfies
     x = (x a) x = (m+ a) x = m+ (a x) = m+ a m+, so the system has at most
     one solution, m+ a m+.  That one candidate is checked against the three
-    equations, and the system is reported inconsistent when it fails them.
+    equations, and InconsistentSystemError names every equation it fails.
     """
     if not a.is_square:
         raise DimensionError("system is defined for square matrices")
     w = weak_mp_inverse(a)
     md = mp_inverse(w.matmul(a**3).matmul(w))
     x = md.matmul(a).matmul(md)
-    if (
-        x.matmul(a).matmul(x) == x
-        and x.matmul(a) == md.matmul(a)
-        and a.matmul(x) == a.matmul(md)
-    ):
-        return ConstrainedSolveResult(x, True, 0)
-    raise InconsistentSystemError(
-        "the two-sided system has no solution: m+ a m+ != m+"
-    )
+    xa, ax = x.matmul(a), a.matmul(x)
+    checks = [
+        _equation("xax=x", xa.matmul(x), x),
+        _equation("xa=m+a", xa, md.matmul(a)),
+        _equation("ax=am+", ax, a.matmul(md)),
+    ]
+    gate(checks, InconsistentSystemError)
+    return ConstrainedSolveResult(x, True, 0)
 
 
 def orthogonal_sum(a: Matrix, b: Matrix) -> Matrix:

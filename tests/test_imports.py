@@ -5,11 +5,16 @@ linter's unused-import rule; ``__init__.py`` is skipped because its imports
 are the public re-exports), every module-level private name is read
 somewhere in the package, every module-level public name is read in the
 package or re-exported by ``__init__.py``, and the third-party modules the
-package imports are exactly its declared dependencies.
+package imports are exactly its declared dependencies.  A fresh
+interpreter also checks what ``import ginv, ginv.cli`` loads: none of
+``dataclasses``, ``inspect`` and ``typing``, which would more than double
+the import time every CLI process pays.
 """
 
 import ast
+import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -159,3 +164,39 @@ def test_imports_are_the_declared_dependencies():
     }
     used = third_party_imports(path.read_text(encoding="utf-8") for path in SOURCES)
     assert used == declared
+
+
+# modules whose import cost the package must not pay at import time
+HEAVY = {"dataclasses", "inspect", "typing"}
+
+# prints the modules that importing argv[1:] adds to sys.modules; startup
+# (site and any .pth file) may load typing already, so only the difference
+# counts
+NEWLY_LOADED = """
+import importlib, json, sys
+before = set(sys.modules)
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def heavy_imports(root: Path, *modules: str) -> list[str]:
+    """The HEAVY modules a fresh interpreter newly loads to import ``modules``."""
+    result = subprocess.run(
+        [sys.executable, "-c", NEWLY_LOADED, *modules],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(root)},
+    )
+    assert result.returncode == 0, result.stderr
+    return sorted(HEAVY.intersection(json.loads(result.stdout)))
+
+
+def test_detects_a_heavy_import(tmp_path):
+    (tmp_path / "scratch_records.py").write_text("import dataclasses\n", encoding="utf-8")
+    assert "dataclasses" in heavy_imports(tmp_path, "scratch_records")
+
+
+def test_import_loads_no_heavy_module():
+    assert heavy_imports(PACKAGE.parent, "ginv", "ginv.cli") == []

@@ -140,7 +140,9 @@ class TestTwoSidedSystem:
         assert result.unique and result.solution == fx.I3
 
     def test_inconsistent_when_certificate_fails(self):
-        with pytest.raises(InconsistentSystemError):
+        # m+ a m+ fails all three equations here, and the message names each
+        message = "candidate failed: xax=x, xa=m+a, ax=am+"
+        with pytest.raises(InconsistentSystemError, match=f"^{re.escape(message)}$"):
             solve_two_sided_system(MISALIGNED)
 
     def test_certificate_on_aligned_random(self):
