@@ -217,9 +217,8 @@ def _build_parser() -> _Parser:
     parser.set_defaults(kind=None, b=None, c=None, t=None, s=None, candidate=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_kind=True, with_candidate=False):
-        if with_kind:
-            p.add_argument("--kind", required=True, choices=sorted(KINDS))
+    def add_io(p, with_candidate=False):
+        p.add_argument("--kind", required=True, choices=sorted(KINDS))
         p.add_argument("--a", required=True, help="path to the matrix document for a")
         p.add_argument("--b", help="path to the b document (kind bc)")
         p.add_argument("--c", help="path to the c document (kind bc)")
@@ -240,11 +239,6 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         req = _build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"ginv: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
         report, code = execute_command(req)
     except UsageError as exc:
         print(f"ginv: usage error: {exc}", file=sys.stderr)

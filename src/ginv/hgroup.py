@@ -28,11 +28,10 @@ from .verify import InverseKind, verified
 
 
 def hgroup_candidate(a: Matrix) -> Matrix:
-    """(a+ a^3 a+)+; not verified."""
+    """(a+ a^3 a+)+, computed as (q a p)+ by _projectors; not verified."""
     if not a.is_square:
         raise DimensionError("higher-order group inverse needs a square matrix")
-    ad = mp_inverse(a)
-    return mp_inverse(ad.matmul(a**3).matmul(ad))
+    return _projectors(a)[2]
 
 
 def hgroup_inverse(a: Matrix) -> Matrix:
@@ -54,7 +53,11 @@ class ConstrainedSolveResult(
 
 
 def _projectors(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """p = a a+, q = a+ a and (q a p)+."""
+    """p = a a+, q = a+ a and (q a p)+, the higher-order group inverse.
+
+    q a p = a+ a a a a+ = a+ a^3 a+, so its Moore-Penrose inverse is the
+    one formula for (a+ a^3 a+)+ that every route here uses.
+    """
     if not a.is_square:
         raise DimensionError("system is defined for square matrices")
     ad = mp_inverse(a)

@@ -3,7 +3,7 @@
 Everything here is pure and exact: Gauss-Jordan elimination with exact
 pivots, canonical particular solutions (free variables fixed to zero),
 nullspace bases, full-rank factorization, subspace comparison by rank
-tests, one-sided ideal membership with reconstructing witnesses, and the
+tests, one-sided ideal membership decided by one solve, and the
 rank-stabilization index with Cline's chain of full-rank factorizations.
 
 Matrices are immutable; a zero number of rows or columns is legal so that
@@ -324,7 +324,8 @@ def full_rank_factorize(a: Matrix) -> FullRankFactorization:
 class SubspaceDescriptor(namedtuple("SubspaceDescriptor", "kind generator")):
     """im(generator) when kind == "image", ker(generator) when kind == "kernel".
 
-    A named tuple of (kind, generator); any other kind is a ValueError.
+    A named tuple of (kind, generator); any other kind is a ValueError,
+    also through _make and _replace.
     """
 
     __slots__ = ()
@@ -333,6 +334,10 @@ class SubspaceDescriptor(namedtuple("SubspaceDescriptor", "kind generator")):
         if kind not in ("image", "kernel"):
             raise ValueError(f"unknown subspace kind {kind!r}")
         return super().__new__(cls, kind, generator)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def ambient(self) -> int:
@@ -383,10 +388,9 @@ class MembershipWitness(
 ):
     """Outcome of a one-sided ideal membership test: (relation, holds, witness).
 
-    When ``holds`` the witness reconstructs x exactly: a*witness = x for
-    x_in_aR, witness*a = x for x_in_Ra, a*witness*x = x for x_in_bRx and
-    x*witness*a = x for x_in_xRc (the fixed element is passed as ``a``).
-    A negative outcome has witness None.
+    When ``holds`` the witness w rebuilds x by one product with the fixed
+    element (passed as ``a``): a*w = x for x_in_aR and x_in_bRx, w*a = x
+    for x_in_Ra and x_in_xRc.  A negative outcome has witness None.
     """
 
     __slots__ = ()
@@ -417,46 +421,26 @@ def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
 
 
 def ideal_membership(relation: str, x: Matrix, a: Matrix) -> MembershipWitness:
-    """Decide x in aR / Ra / aRx / xRa with a canonical reconstructing witness.
+    """Decide x in aR / Ra / bRx / xRc by one exact solve, with its solution as witness.
 
     ``a`` is the fixed element of the relation; for x_in_bRx it plays the
-    role of b and for x_in_xRc the role of c.
+    role of b and for x_in_xRc the role of c.  Over a field x = b r x for
+    some r iff x = b u for some u (take r = b+, since b b+ is the identity
+    on im b), so x_in_bRx is decided by the same solve as x_in_aR and
+    x_in_xRc, dually, by the same solve as x_in_Ra.
     """
     if not (x.is_square and a.is_square and x.rows == a.rows):
         raise DimensionError("membership tests need square matrices of equal size")
     try:
-        if relation == "x_in_aR":
+        if relation in ("x_in_aR", "x_in_bRx"):
             witness = solve_right(a, x)
-        elif relation == "x_in_Ra":
+        elif relation in ("x_in_Ra", "x_in_xRc"):
             witness = solve_right(a.h, x.h).h
-        elif relation in ("x_in_bRx", "x_in_xRc"):
-            # x = b r x for some r iff b b+ x = x; x = x r c iff x c+ c = x
-            from .pinv import mp_inverse  # at call time: pinv imports this module
-
-            witness = mp_inverse(a)
-            if reconstruct(MembershipWitness(relation, True, witness), x, a) != x:
-                return MembershipWitness(relation, False)
         else:
             raise ValueError(f"unknown membership relation {relation!r}")
     except NoSolutionError:
         return MembershipWitness(relation, False)
     return MembershipWitness(relation, True, witness)
-
-
-def reconstruct(witness: MembershipWitness, x: Matrix, a: Matrix) -> Matrix:
-    """Rebuild x from a positive membership witness (used by verification)."""
-    if not witness.holds or witness.witness is None:
-        raise ValueError("cannot reconstruct from a negative membership outcome")
-    r = witness.witness
-    if witness.relation == "x_in_aR":
-        return a.matmul(r)
-    if witness.relation == "x_in_Ra":
-        return r.matmul(a)
-    if witness.relation == "x_in_bRx":
-        return a.matmul(r).matmul(x)
-    if witness.relation == "x_in_xRc":
-        return x.matmul(r).matmul(a)
-    raise ValueError(f"unknown membership relation {witness.relation!r}")
 
 
 # -- nilpotency and index ----------------------------------------------------

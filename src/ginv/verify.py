@@ -17,6 +17,7 @@ from .matrix import (
     SubspaceDescriptor,
     ideal_membership,
     image_of,
+    index_chain,
     kernel_of,
     nilpotency_and_index,
     rank,
@@ -50,12 +51,20 @@ class AxiomCheck(
 
 
 class AxiomReport(namedtuple("AxiomReport", "kind checks overall")):
-    """A named tuple (kind, checks, overall); overall = all checks hold."""
+    """A named tuple (kind, checks, overall); overall = all checks hold.
+
+    overall is always computed from checks, also through _make and _replace.
+    """
 
     __slots__ = ()
 
     def __new__(cls, kind: InverseKind, checks: tuple):
         return super().__new__(cls, kind, checks, all(c.holds for c in checks))
+
+    @classmethod
+    def _make(cls, iterable):
+        kind, checks, _ = iterable
+        return cls(kind, checks)
 
     def __getnewargs__(self):
         return self.kind, self.checks
@@ -133,8 +142,8 @@ def check_axioms(
             _equation("ax=xa", ax, xa),
         ]
     elif kind is InverseKind.DRAZIN:
-        _, k = nilpotency_and_index(a)
-        ax, xa, ak = a.matmul(x), x.matmul(a), a**k
+        k, f, _, g = index_chain(a)
+        ax, xa, ak = a.matmul(x), x.matmul(a), f.matmul(g)
         checks = [
             _equation("ax=xa", ax, xa),
             _equation("a^(k+1)x=a^k", ak.matmul(ax), ak, note=f"index k={k}"),
@@ -153,7 +162,7 @@ def check_axioms(
         ]
     elif kind is InverseKind.WEAK_HGROUP:
         ax, xa = a.matmul(x), x.matmul(a)
-        t = x.matmul(a**3).matmul(x)
+        t = xa.matmul(a).matmul(ax)
         checks = [
             _equation("x=xax", xa.matmul(x), x),
             _hermitian("(ax)*=ax", ax),
@@ -213,7 +222,7 @@ def weak_system_checks(a: Matrix, x: Matrix, w: Matrix) -> list[AxiomCheck]:
         _membership("x in (aw)R", "x_in_aR", x, a.matmul(w)),
         _membership("x in R(wa)", "x_in_Ra", x, w.matmul(a)),
         _equation("xax=x", x.matmul(a).matmul(x), x),
-        _equation("(a2xa2)w=a3w", a2x.matmul(a2).matmul(w), (a**3).matmul(w)),
+        _equation("(a2xa2)w=a3w", a2x.matmul(a2).matmul(w), a2.matmul(a).matmul(w)),
         _hermitian("(a2xa*)*=a2xa*", a2x.matmul(astar)),
         _hermitian("(a*xa2)*=a*xa2", astar.matmul(x).matmul(a2)),
     ]

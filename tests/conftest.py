@@ -53,10 +53,12 @@ def fx():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Per-test call counts of check_axioms, kronecker, mp_inverse, invert and rref.
+    """Per-test call counts of check_axioms, kronecker, mp_inverse, invert,
+    rref, index_chain and Matrix.__pow__ (counted as "pow").
 
-    Each is rebound in every ginv.* namespace that holds it, because the
-    modules import each other's functions by name.  A call made inside
+    Each function is rebound in every ginv.* namespace that holds it,
+    because the modules import each other's functions by name; __pow__ is
+    rebound on the class.  A call made inside
     another call of the same function (the weak-hgroup system's
     Moore-Penrose sub-test inside check_axioms) belongs to the outer call
     and is not counted again.
@@ -67,8 +69,9 @@ def calls(monkeypatch):
         "mp_inverse": ginv.pinv.mp_inverse,
         "invert": ginv.matrix.invert,
         "rref": ginv.matrix.rref,
+        "index_chain": ginv.matrix.index_chain,
     }
-    tally = dict.fromkeys(originals, 0)
+    tally = dict.fromkeys([*originals, "pow"], 0)
 
     def counted(name, original):
         active = []
@@ -90,6 +93,7 @@ def calls(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, wrapper)
+    monkeypatch.setattr(Matrix, "__pow__", counted("pow", Matrix.__pow__))
     return tally
 
 

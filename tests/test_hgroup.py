@@ -201,6 +201,13 @@ class TestBcInverse:
         for a in small_random_matrices(seed=73, count=20, square=True):
             assert bc_inverse(a, build_bc_pair(a)) == hgroup_inverse(a)
 
+    def test_one_mp_inverse(self, fx, calls):
+        # the candidate's (c a b)+; the bRx and xRc memberships are solves
+        pair = build_bc_pair(fx.A)
+        calls.update(dict.fromkeys(calls, 0))
+        bc_inverse(fx.A, pair)
+        assert calls["mp_inverse"] == 1
+
 
 class TestTwoInversePrescribed:
     def test_fixture(self, fx):

@@ -5,7 +5,8 @@ linter's unused-import rule; ``__init__.py`` is skipped because its imports
 are the public re-exports), every module-level private name is read
 somewhere in the package, every module-level public name is read in the
 package or re-exported by ``__init__.py``, and the third-party modules the
-package imports are exactly its declared dependencies.  A fresh
+package imports are exactly its declared dependencies.  No import
+statement is deferred into a function or class body.  A fresh
 interpreter also checks what ``import ginv, ginv.cli`` loads: none of
 ``dataclasses``, ``inspect`` and ``typing``, which would more than double
 the import time every CLI process pays.
@@ -57,6 +58,32 @@ def module_statements(body):
                 yield from module_statements(block)
             for handler in getattr(node, "handlers", []):
                 yield from module_statements(handler.body)
+
+
+def nested_imports(source: str) -> list[int]:
+    """Lines of the import statements that run inside a function or class body."""
+    tree = ast.parse(source)
+    top = {id(node) for node in module_statements(tree.body)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    )
+
+
+def test_detects_a_nested_import():
+    source = (
+        "import os\ntry:\n    import json\nexcept ImportError:\n    pass\n"
+        "def f():\n    from .pinv import mp_inverse\n"
+        "class C:\n    import re\n"
+    )
+    assert nested_imports(source) == [7, 9]
+
+
+# an import deferred into a function hides a cycle between the layers
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_nested_import(path):
+    assert nested_imports(path.read_text(encoding="utf-8")) == []
 
 
 def definitions(tree: ast.Module) -> set[str]:

@@ -99,6 +99,24 @@ def test_subspace_descriptor_rejects_an_unknown_kind():
         SubspaceDescriptor("bogus", A)
 
 
+def test_make_and_replace_check_the_subspace_kind():
+    with pytest.raises(ValueError, match="unknown subspace kind 'bogus'"):
+        SubspaceDescriptor._make(("bogus", A))
+    with pytest.raises(ValueError, match="unknown subspace kind 'bogus'"):
+        image_of(A)._replace(kind="bogus")
+    assert image_of(A)._replace(kind="kernel") == SubspaceDescriptor("kernel", A)
+
+
+def test_make_and_replace_recompute_overall():
+    passing = check_axioms(InverseKind.MP, A, mp_inverse(A))
+    failing = AxiomCheck("xax=x", False)
+    assert passing.overall
+    replaced = passing._replace(checks=(failing,))
+    assert type(replaced) is AxiomReport and replaced.overall is False
+    assert AxiomReport._make((InverseKind.MP, (failing,), True)).overall is False
+    assert replaced._replace(checks=passing.checks) == passing
+
+
 def test_defaults():
     assert MembershipWitness("x_in_aR", False).witness is None
     assert AxiomCheck("c", True)[2:] == (None, None, None)

@@ -7,6 +7,7 @@ import pytest
 from ginv import (
     DimensionError,
     InverseKind,
+    Matrix,
     build_bc_pair,
     check_axioms,
     drazin_inverse,
@@ -68,6 +69,18 @@ class TestCheckAxioms:
         pair = build_bc_pair(fx.X)
         report = check_axioms(InverseKind.BC, fx.X, fx.Z, pair=pair)
         assert report.overall
+        # x = b u and x = v c: one product with the fixed element rebuilds x
+        in_bRx, in_xRc = (c.witness.witness for c in report.checks[2:])
+        assert pair.b.matmul(in_bRx) == fx.Z and in_xRc.matmul(pair.c) == fx.Z
+
+    def test_drazin_index_from_one_chain(self, calls):
+        # index 2: a^k comes from Cline's chain, not from powering
+        a = Matrix([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+        x = drazin_inverse(a)
+        calls.update(dict.fromkeys(calls, 0))
+        report = check_axioms(InverseKind.DRAZIN, a, x)
+        assert report.overall and report.checks[1].note == "index k=2"
+        assert calls["index_chain"] == 1 and calls["pow"] == 0
 
     def test_two_prescribed_report(self, fx):
         pair = build_bc_pair(fx.X)
