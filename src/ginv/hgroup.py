@@ -9,6 +9,15 @@ operations here recover the same matrix by different routes: as the unique
 solution of two projector-constrained linear systems, as a (b,c)-inverse
 for b = p_a (a*)^2 and c = (a*)^2 q_a, and as the {2}-inverse with
 prescribed image im(b) and kernel ker(c).
+
+The inverse, its two systems and the (b,c) pair all start from one
+full-rank factorization a = f g of rank r.  With F = f*f and G = g g*,
+a+ = g+ f+ for f+ = F^-1 f* and g+ = g* G^-1, so a+ a^3 a+ = g+ N f+
+with the r x r middle N = (g f)^2, and the reverse-order law for
+full-rank factors gives its Moore-Penrose inverse (Greville, "Note on
+the generalized inverse of a matrix product", SIAM Review 8, 1966).  The
+projectors are a a+ = f F^-1 f* and a+ a = g* G^-1 g.  Beyond the one
+n x n elimination, every inverse is r x r or smaller.
 """
 
 from __future__ import annotations
@@ -21,17 +30,25 @@ from .errors import (
     NoSolutionError,
     NotBcInvertibleError,
     NotTwoInvertibleError,
+    SingularMatrixError,
 )
-from .matrix import Matrix, SubspaceDescriptor, _solve, rank
+from .matrix import Matrix, SubspaceDescriptor, _solve, full_rank_factorize, invert, rank
 from .pinv import mp_inverse
 from .verify import InverseKind, verified
 
 
 def hgroup_candidate(a: Matrix) -> Matrix:
-    """(a+ a^3 a+)+, computed as (q a p)+ by _projectors; not verified."""
+    """(a+ a^3 a+)+ from one full-rank factorization a = f g; not verified.
+
+    By the reverse-order law for full-rank factors (Greville 1966) the
+    value is f N^-1 g with N = (g f)^2 when N is invertible, and otherwise
+    a product of r x r and s x s inverses; see _hgroup.  No n x n
+    Moore-Penrose inverse is formed.
+    """
     if not a.is_square:
         raise DimensionError("higher-order group inverse needs a square matrix")
-    return _projectors(a)[2]
+    f, g, _ = full_rank_factorize(a)
+    return _hgroup(f, g)
 
 
 def hgroup_inverse(a: Matrix) -> Matrix:
@@ -52,17 +69,56 @@ class ConstrainedSolveResult(
     __slots__ = ()
 
 
-def _projectors(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """p = a a+, q = a+ a and (q a p)+, the higher-order group inverse.
+def _gram_inverses(f: Matrix, g: Matrix) -> tuple[Matrix, Matrix]:
+    """F^-1 = (f*f)^-1 and G^-1 = (g g*)^-1, both r x r.
 
-    q a p = a+ a a a a+ = a+ a^3 a+, so its Moore-Penrose inverse is the
-    one formula for (a+ a^3 a+)+ that every route here uses.
+    Each Gram matrix of a full-rank factor is invertible over Q(i), whose
+    norm re^2 + im^2 is positive definite.
+    """
+    return invert(f.h.matmul(f)), invert(g.matmul(g.h))
+
+
+def _hgroup(f: Matrix, g: Matrix, grams: tuple[Matrix, Matrix] | None = None) -> Matrix:
+    """(a+ a^3 a+)+ = (g+ N f+)+ for a = f g, N = (g f)^2, by the reverse-order law.
+
+    If N is invertible (index <= 1) the value is f N^-1 g.  Otherwise
+    N = u v with rank s, g+ u has full column rank, v f+ full row rank, and
+    (g+)* g+ = G^-1, f+ (f+)* = F^-1, so the value is
+    f F^-1 v* [v F^-1 v*]^-1 [u* G^-1 u]^-1 u* G^-1 g.  ``grams`` is
+    (F^-1, G^-1) when the caller already holds them.
+    """
+    gf = g.matmul(f)
+    middle = gf.matmul(gf)
+    try:
+        return f.matmul(invert(middle)).matmul(g)
+    except SingularMatrixError:
+        pass
+    f_inv, g_inv = grams or _gram_inverses(f, g)
+    u, v, _ = full_rank_factorize(middle)
+    left, right = f_inv.matmul(v.h), u.h.matmul(g_inv)
+    inner = invert(v.matmul(left)).matmul(invert(right.matmul(u)))
+    return f.matmul(left).matmul(inner).matmul(right).matmul(g)
+
+
+def _projector_pair(f: Matrix, g: Matrix, grams: tuple[Matrix, Matrix]) -> tuple[Matrix, Matrix]:
+    """p = a a+ = f F^-1 f* and q = a+ a = g* G^-1 g for a = f g."""
+    f_inv, g_inv = grams
+    return f.matmul(f_inv).matmul(f.h), g.h.matmul(g_inv).matmul(g)
+
+
+def _projectors(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """p = a a+, q = a+ a and (a+ a^3 a+)+, the higher-order group inverse.
+
+    All three come from one full-rank factorization a = f g and its two
+    Gram inverses: p = f F^-1 f*, q = g* G^-1 g, and the inverse by the
+    reverse-order law for full-rank factors (Greville 1966).  No n x n
+    Moore-Penrose inverse is formed.
     """
     if not a.is_square:
         raise DimensionError("system is defined for square matrices")
-    ad = mp_inverse(a)
-    p, q = a.matmul(ad), ad.matmul(a)
-    return p, q, mp_inverse(q.matmul(a).matmul(p))
+    f, g, _ = full_rank_factorize(a)
+    grams = _gram_inverses(f, g)
+    return (*_projector_pair(f, g, grams), _hgroup(f, g, grams))
 
 
 def _constrained_solve(outer: Matrix, basis: Matrix, rhs: Matrix) -> ConstrainedSolveResult:
@@ -113,12 +169,18 @@ class BcPair(namedtuple("BcPair", "b c")):
 
 
 def build_bc_pair(a: Matrix) -> BcPair:
-    """b = p_a (a*)^2 and c = (a*)^2 q_a, the pair whose (b,c)-inverse is a^H."""
+    """b = p_a (a*)^2 and c = (a*)^2 q_a, the pair whose (b,c)-inverse is a^H.
+
+    p_a = a a+ = f F^-1 f* and q_a = a+ a = g* G^-1 g come from one
+    full-rank factorization a = f g, since a+ = g+ f+ for full-rank factors
+    (Greville 1966); no Moore-Penrose inverse is formed.
+    """
     if not a.is_square:
         raise DimensionError("pair construction needs a square matrix")
-    ad = mp_inverse(a)
+    f, g, _ = full_rank_factorize(a)
+    p, q = _projector_pair(f, g, _gram_inverses(f, g))
     astar2 = a.h.matmul(a.h)
-    return BcPair(a.matmul(ad).matmul(astar2), astar2.matmul(ad).matmul(a))
+    return BcPair(p.matmul(astar2), astar2.matmul(q))
 
 
 def bc_candidate(a: Matrix, pair: BcPair) -> Matrix:

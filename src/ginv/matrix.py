@@ -1,9 +1,13 @@
 """Exact dense matrices over Q(i).
 
-Everything here is pure and exact: Gauss-Jordan elimination with exact
-pivots, canonical particular solutions (free variables fixed to zero),
-nullspace bases, full-rank factorization, subspace comparison by rank
-tests, one-sided ideal membership decided by one solve, and the
+Everything here is pure and exact.  The one elimination engine, ``rref``,
+is fraction-free Gauss-Jordan over the Gaussian integers Z[i] with exact
+division by the previous pivot (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968),
+so no rational is reduced until the pivot rows are divided once at the
+end.  Built on it: canonical particular solutions (free variables fixed
+to zero), nullspace bases, full-rank factorization, subspace comparison
+by rank tests, one-sided ideal membership decided by one solve, and the
 rank-stabilization index with Cline's chain of full-rank factorizations.
 
 Matrices are immutable; a zero number of rows or columns is legal so that
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionError, NoSolutionError, SingularMatrixError
 from .scalar import ZERO, ONE, GaussianRational, _coerce, scalar_format
@@ -217,33 +223,91 @@ def rref(a: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
     Returns (R, rank, pivot column indices).  Deterministic: the pivot for
     each column is the first row with a nonzero entry.
+
+    Fraction-free Gauss-Jordan over the Gaussian integers Z[i] (Bareiss,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22, 1968).  Each row is first scaled by the
+    lcm of its denominators, which leaves the RREF unchanged.  With pivot p
+    in row r and previous pivot d, every other row becomes
+    (p row - row[j] pivot_row) / d, an exact division in Z[i]: each entry
+    stays a minor of the scaled matrix, and every pivot row keeps the
+    current pivot on its diagonal.  Each row is a nonzero multiple of the
+    same row under plain Gauss-Jordan, so the pivots and R agree with it.
+    The pivot rows are divided by the last pivot once, at the end.  A
+    nonzero remainder would be a bug and raises AssertionError.
     """
-    data = [list(row) for row in a._data]
     rows, cols = a.rows, a.cols
+    re, im = [], []
+    for row in a._data:
+        scale = lcm(*[e.re.denominator for e in row], *[e.im.denominator for e in row])
+        re.append([e.re.numerator * (scale // e.re.denominator) for e in row])
+        im.append([e.im.numerator * (scale // e.im.denominator) for e in row])
     pivots = []
+    dr, di = 1, 0  # the previous pivot d
     r = 0
     for j in range(cols):
         pivot_row = None
         for i in range(r, rows):
-            if data[i][j]:
+            if re[i][j] or im[i][j]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
-        data[r], data[pivot_row] = data[pivot_row], data[r]
-        inv = ONE / data[r][j]
-        data[r] = [inv * e if e else e for e in data[r]]
+        re[r], re[pivot_row] = re[pivot_row], re[r]
+        im[r], im[pivot_row] = im[pivot_row], im[r]
+        yr, yi = re[r], im[r]
+        pr, pi = yr[j], yi[j]
+        # x -> (p x - c y) / d is computed as (P x - C y) // n with
+        # P = p conj(d), C = c conj(d) and n = |d|^2, or P = p, C = c and
+        # n = d when d is real
+        if di:
+            n = dr * dr + di * di
+            big_pr, big_pi = pr * dr + pi * di, pi * dr - pr * di
+        else:
+            n, big_pr, big_pi = dr, pr, pi
+        syr, syi = sum(yr), sum(yi)
         for i in range(rows):
-            if i != r and data[i][j]:
-                factor = data[i][j]
-                data[i] = [
-                    e - factor * p if p else e for e, p in zip(data[i], data[r])
-                ]
+            if i == r:
+                continue
+            xr, xi = re[i], im[i]
+            cr, ci = xr[j], xi[j]
+            if di:
+                cr, ci = cr * dr + ci * di, ci * dr - cr * di
+            if not (cr or ci or big_pi) and big_pr == n:
+                continue  # p = d and nothing to eliminate: the row is unchanged
+            qr = [
+                (big_pr * u - big_pi * v - cr * s + ci * t) // n
+                for u, v, s, t in zip(xr, xi, yr, yi)
+            ]
+            qi = [
+                (big_pr * v + big_pi * u - cr * t - ci * s) // n
+                for u, v, s, t in zip(xr, xi, yr, yi)
+            ]
+            # floor remainders all carry the sign of n, so they are all zero
+            # iff the numerators sum to n times the quotients' sum
+            sxr, sxi = sum(xr), sum(xi)
+            if (
+                big_pr * sxr - big_pi * sxi - cr * syr + ci * syi != n * sum(qr)
+                or big_pr * sxi + big_pi * sxr - cr * syi - ci * syr != n * sum(qi)
+            ):
+                raise AssertionError("fraction-free elimination left a remainder")
+            re[i], im[i] = qr, qi
+        dr, di = pr, pi
         pivots.append(j)
         r += 1
         if r == rows:
             break
-    return Matrix(data, cols=cols), len(pivots), tuple(pivots)
+    # the pivot rows carry d on their pivots: divide them by d once
+    n = dr * dr + di * di
+    out = [
+        [
+            GaussianRational._raw(Fraction(u * dr + v * di, n), Fraction(v * dr - u * di, n))
+            for u, v in zip(re[i], im[i])
+        ]
+        for i in range(r)
+    ]
+    out.extend([ZERO] * cols for _ in range(rows - r))
+    return Matrix(out, cols=cols), r, tuple(pivots)
 
 
 def rank(a: Matrix) -> int:

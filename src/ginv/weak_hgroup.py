@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolatedError,
     VerificationError,
 )
-from .hgroup import ConstrainedSolveResult, hgroup_inverse
+from .hgroup import ConstrainedSolveResult, hgroup_candidate, hgroup_inverse
 from .matrix import Matrix
 from .pinv import mp_inverse
 from .verify import InverseKind, _equation, gate, verified, weak_system_checks
@@ -41,15 +41,16 @@ def weak_hgroup_inverse(a: Matrix) -> Matrix:
 def weak_hgroup_paths(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """The three computation routes, for exact cross-checking.
 
-    (core^H,  (w a^3 w)+ with w = weak MP inverse,  (core+ core^3 core+)+).
-    The first is the third verified against the HGROUP system of the core,
-    so the two always agree; the second agrees exactly on the aligned class
-    nil * core* = 0.
+    (core^H,  (w a^3 w)+ with w = weak MP inverse,  hgroup_candidate(core)).
+    The third is (core+ core^3 core+)+ from one full-rank factorization of
+    the core, and the first is the third verified against the HGROUP system
+    of the core, so the two always agree; the second agrees exactly on the
+    aligned class nil * core* = 0.
     """
     d = core_ep_decompose(a)
-    w = mp_inverse(d.core)
-    via_formula = mp_inverse(w.matmul(d.core**3).matmul(w))
+    via_formula = hgroup_candidate(d.core)
     via_core = verified(InverseKind.HGROUP, d.core, via_formula)
+    w = mp_inverse(d.core)
     via_weak_mp = mp_inverse(w.matmul(a**3).matmul(w))
     return via_core, via_weak_mp, via_formula
 

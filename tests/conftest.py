@@ -1,6 +1,7 @@
 """Shared fixtures: canonical matrices, the generated corpus, and
 independent oracles (minor-expansion rank, Laplace determinants, brute
-Penrose checks) that do not reuse the elimination code under test."""
+Penrose checks, Gauss-Jordan over Fraction pairs, the two-MP formula for
+the higher-order group inverse) that do not reuse the code under test."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pytest
 import ginv.matrix
 import ginv.pinv
 import ginv.verify
-from ginv import Matrix
+from ginv import Matrix, mp_inverse
 from ginv.scalar import GaussianRational as GR
 
 I = GR(0, 1)
@@ -54,7 +55,8 @@ def fx():
 @pytest.fixture
 def calls(monkeypatch):
     """Per-test call counts of check_axioms, kronecker, mp_inverse, invert,
-    rref, index_chain and Matrix.__pow__ (counted as "pow").
+    rref, full_rank_factorize, index_chain and Matrix.__pow__ (counted as
+    "pow").
 
     Each function is rebound in every ginv.* namespace that holds it,
     because the modules import each other's functions by name; __pow__ is
@@ -69,6 +71,7 @@ def calls(monkeypatch):
         "mp_inverse": ginv.pinv.mp_inverse,
         "invert": ginv.matrix.invert,
         "rref": ginv.matrix.rref,
+        "full_rank_factorize": ginv.matrix.full_rank_factorize,
         "index_chain": ginv.matrix.index_chain,
     }
     tally = dict.fromkeys([*originals, "pow"], 0)
@@ -197,6 +200,42 @@ def rank_by_minors(m: Matrix) -> int:
         else:
             break
     return best
+
+
+def reference_rref(a: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
+    """Gauss-Jordan with Q(i) division at every step: (R, rank, pivots).
+
+    The pivot of each column is its first nonzero entry at or below the
+    current row; the pivot row is divided by it and cleared from every
+    other row.
+    """
+    one = GR(1)
+    data = [list(a.row(i)) for i in range(a.rows)]
+    pivots = []
+    r = 0
+    for j in range(a.cols):
+        pivot_row = next((i for i in range(r, a.rows) if data[i][j]), None)
+        if pivot_row is None:
+            continue
+        data[r], data[pivot_row] = data[pivot_row], data[r]
+        inv = one / data[r][j]
+        data[r] = [inv * e for e in data[r]]
+        for i in range(a.rows):
+            if i != r and data[i][j]:
+                factor = data[i][j]
+                data[i] = [e - factor * p for e, p in zip(data[i], data[r])]
+        pivots.append(j)
+        r += 1
+        if r == a.rows:
+            break
+    return Matrix(data, cols=a.cols), r, tuple(pivots)
+
+
+def reference_hgroup(a: Matrix) -> Matrix:
+    """(a+ a^3 a+)+ as the Moore-Penrose inverse of q a p, p = a a+, q = a+ a."""
+    ad = mp_inverse(a)
+    p, q = a.matmul(ad), ad.matmul(a)
+    return mp_inverse(q.matmul(a).matmul(p))
 
 
 def penrose_holds(a: Matrix, x: Matrix) -> bool:

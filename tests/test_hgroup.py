@@ -1,5 +1,7 @@
 """Higher-order group inverse and its system/(b,c)/{2}-inverse routes."""
 
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,10 +30,51 @@ from ginv import (
     two_inverse_prescribed,
     unvec,
 )
-from ginv.hgroup import _constrained_solve
+from ginv.hgroup import _constrained_solve, hgroup_candidate
 from ginv.scalar import GaussianRational as GR
 
-from conftest import POOL, small_random_matrices
+from conftest import POOL, reference_hgroup, small_random_matrices
+
+I = GR(0, 1)
+
+# (a, r, s): r = rank(a) and s = rank((g f)^2) = rank(a^3) for a = f g,
+# one case per branch of the factored formula and per matrix class
+HGROUP_BRANCHES = {
+    "r = 0": (Matrix.zeros(3, 3), 0, 0),
+    "s = r, dense": (Matrix([[1, 2, I], [3, 4, 0], [0, 1 - I, 1]]), 3, 3),
+    "s = r, singular": (Matrix([[1, 1 + I, 0], [1 - I, 2, 0], [0, 0, 0]]), 1, 1),
+    "0 < s < r, complex": (Matrix([[1, 1 + I, 0], [1 - I, 2, 0], [-2, 1 + I, 0]]), 2, 1),
+    "0 < s < r, Jordan block J4(0)": (
+        Matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]), 3, 1
+    ),
+    "0 < s < r, triangular index 2": (
+        Matrix([[0, 2, 1, -1], [0, 0, F(1, 2), 1 + I], [0, 0, -1, 2], [0, 0, 0, 1 - I]]), 3, 2
+    ),
+    "0 < s < r, index 3": (
+        Matrix([[0, 1, 0, 1], [0, 0, 1, 2], [0, 0, 0, 0], [0, 0, 0, 2]]), 3, 1
+    ),
+    "s = 0, Jordan block J3(0)": (Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), 2, 0),
+    "s = 0, a^2 = 0": (Matrix([[1, 1], [-1, -1]]), 1, 0),
+}
+
+
+@st.composite
+def hgroup_inputs(draw, max_dim=5):
+    """Generic, low-rank products u v and nilpotent-heavy upper triangular
+    matrices (zero diagonal but for the last entries), so every branch of
+    the factored formula is drawn."""
+    n = draw(st.integers(1, max_dim))
+    pick = lambda: draw(st.sampled_from(POOL))
+    style = draw(st.sampled_from(("generic", "product", "triangular")))
+    if style == "generic":
+        return Matrix([[pick() for _ in range(n)] for _ in range(n)])
+    if style == "product":
+        r = draw(st.integers(0, n - 1))
+        u = Matrix([[pick() for _ in range(r)] for _ in range(n)], cols=r)
+        return u.matmul(Matrix([[pick() for _ in range(n)] for _ in range(r)], cols=n))
+    zeros = draw(st.integers(1, n))
+    upper = lambda i, j: j > i or (j == i and i >= zeros)
+    return Matrix([[pick() if upper(i, j) else GR(0) for j in range(n)] for i in range(n)])
 
 
 def square_triples(max_dim=3):
@@ -81,6 +124,27 @@ class TestHgroupInverse:
 
     def test_nilpotent(self, fx):
         assert hgroup_inverse(fx.N).is_zero()
+
+    @pytest.mark.parametrize("case", HGROUP_BRANCHES)
+    def test_factored_formula_on_each_branch(self, case):
+        a, r, s = HGROUP_BRANCHES[case]
+        assert (rank(a), rank(a**3)) == (r, s)
+        assert hgroup_candidate(a) == reference_hgroup(a)
+
+    @given(hgroup_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_factored_formula_matches_two_mp_reference(self, a):
+        assert hgroup_candidate(a) == reference_hgroup(a)
+
+    def test_no_mp_inverse(self, fx, calls):
+        # s < r: one factorization of a and one of the r x r middle (g f)^2
+        hgroup_candidate(fx.A)
+        assert calls["mp_inverse"] == 0 and calls["full_rank_factorize"] == 2
+        calls.update(dict.fromkeys(calls, 0))
+        # s = r: one factorization and one r x r inverse
+        hgroup_candidate(fx.I3)
+        assert calls["mp_inverse"] == 0 and calls["full_rank_factorize"] == 1
+        assert calls["rref"] == 2
 
     def test_identity(self, fx):
         assert hgroup_inverse(fx.I3) == fx.I3
@@ -149,10 +213,12 @@ class TestConstrainedSystems:
             assert r2.unique and r2.solution == x
 
     def test_one_elimination_per_solve(self, fx, calls):
-        # 2 for each of the two mp_inverse calls, 1 for u together with
-        # rank(outer basis), 1 for rank(basis)
+        # n x n: the factorization a = f g, u together with rank(outer
+        # basis), and rank(basis); r x r or smaller: the two Gram inverses,
+        # the failed inverse of (g f)^2 (fx.A has s = 1 < r = 2), its
+        # factorization and the two s x s inverses
         solve_ax_system(fx.A)
-        assert calls["rref"] == 6
+        assert calls["rref"] == 9
 
     @given(constrained_systems())
     @settings(max_examples=80, deadline=None)
@@ -200,6 +266,10 @@ class TestBcInverse:
     def test_equals_hgroup_inverse_on_random(self):
         for a in small_random_matrices(seed=73, count=20, square=True):
             assert bc_inverse(a, build_bc_pair(a)) == hgroup_inverse(a)
+
+    def test_pair_without_mp_inverse(self, fx, calls):
+        build_bc_pair(fx.A)
+        assert calls["mp_inverse"] == 0 and calls["full_rank_factorize"] == 1
 
     def test_one_mp_inverse(self, fx, calls):
         # the candidate's (c a b)+; the bRx and xRc memberships are solves

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ginv import (
@@ -29,7 +29,7 @@ from ginv import (
 from ginv.matrix import index_chain
 from ginv.scalar import GaussianRational as GR
 
-from conftest import POOL, rank_by_minors, small_random_matrices
+from conftest import POOL, rank_by_minors, reference_rref, small_random_matrices
 
 I = GR(0, 1)
 
@@ -138,7 +138,42 @@ class TestAdjoint:
         assert rank(a.h) == rank(a)
 
 
+@st.composite
+def elimination_inputs(draw, max_dim=5):
+    """Any shape, 0 x n and n x 0 included: generic, zero, or a product u v
+    of inner size below both sides; entries from POOL or with denominators
+    up to 10^6."""
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    wide = st.builds(
+        lambda re, im, den: GR(F(re, den), F(im, den)),
+        st.integers(-(10**6), 10**6),
+        st.integers(-3, 3),
+        st.integers(1, 10**6),
+    )
+    entries = st.one_of(st.sampled_from(POOL), wide)
+    grid = lambda n, m: Matrix([[draw(entries) for _ in range(m)] for _ in range(n)], cols=m)
+    style = draw(st.sampled_from(("generic", "zero", "product")))
+    if style == "generic":
+        return grid(rows, cols)
+    if style == "zero":
+        return Matrix.zeros(rows, cols)
+    inner = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+    return grid(rows, inner).matmul(grid(inner, cols))
+
+
 class TestRref:
+    @given(elimination_inputs())
+    @settings(max_examples=150, deadline=None)
+    @example(Matrix([], cols=3))
+    @example(Matrix([[], []], cols=0))
+    @example(Matrix.zeros(3, 4))
+    @example(Matrix([[0, 1, 2], [1, 0, 3]]))  # the first column needs a row swap
+    # complex pivots 1+i and then 2-i: later rows divide by a non-real pivot
+    @example(Matrix([[1 + I, 2, 1, 0], [1 - I, 3, 2 + I, 1], [2, 1 + I, 5, F(1, 2)]]))
+    @example(Matrix([[F(1, 999983), F(2, 10**6) + I], [F(7, 999979), F(1, 3)]]))
+    def test_agrees_with_reference_gauss_jordan(self, a):
+        assert rref(a) == reference_rref(a)
+
     def test_fixture_ranks(self, fx):
         reduced, rk, pivots = rref(fx.X)
         assert rk == 1 and pivots == (0,)

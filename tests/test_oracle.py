@@ -2,7 +2,8 @@
 
 The oracle is sympy's ``DomainMatrix`` over ``QQ_I``: ginv matrices are read
 entry by entry, and every rank, product and comparison on the oracle side is
-sympy's own, so no ginv elimination is involved.  The index comes from a
+sympy's own, so no ginv elimination is involved.  The reduced row-echelon
+form, its rank and its pivots must equal sympy's ``rref``.  The index comes from a
 sympy rank chain, group invertibility from the ranks of a and a^2, the
 Moore-Penrose (on rectangular matrices too), group, Drazin and higher-order
 group inverses are judged by their defining equations (x in aR and x in Ra
@@ -17,7 +18,9 @@ import pytest
 
 pytest.importorskip("sympy")
 
-from hypothesis import given, settings
+from fractions import Fraction as F
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
@@ -31,6 +34,7 @@ from ginv import (
     hgroup_inverse,
     mp_inverse,
     nilpotency_and_index,
+    rref,
     solve_ax_system,
     solve_px_system,
     weak_hgroup_inverse,
@@ -157,6 +161,21 @@ def hgroup_system_holds(s: DomainMatrix, x: DomainMatrix) -> bool:
 
 
 # -- the differential tests ------------------------------------------------------
+
+
+@given(st.one_of(square_matrices(), rectangular_matrices()))
+@settings(max_examples=80, deadline=None)
+@example(Matrix([], cols=4))
+@example(Matrix([[], [], []], cols=0))
+@example(Matrix.zeros(2, 3))
+@example(Matrix([[0, 0, 1], [0, 2, 1], [1, 1, 1]]))
+@example(Matrix([[GR(1, 1), 2, 1], [GR(1, -1), 3, GR(2, 1)], [2, GR(1, 1), 5]]))
+@example(Matrix([[F(1, 999983), GR(F(1, 10**6), 1)], [F(7, 999979), F(1, 3)]]))
+def test_rref(a):
+    reduced, rk, pivots = rref(a)
+    expected, expected_pivots = lift(a).rref()
+    assert same(lift(reduced), expected)
+    assert pivots == tuple(expected_pivots) and rk == len(pivots)
 
 
 @given(square_matrices())
