@@ -54,8 +54,6 @@ from .matrix import (
     rref,
     solve_right,
     subspace_relate,
-    vec,
-    unvec,
 )
 from .pinv import mp_inverse
 from .scalar import (
@@ -126,8 +124,6 @@ __all__ = [
     "solve_two_sided_system",
     "subspace_relate",
     "two_inverse_prescribed",
-    "unvec",
-    "vec",
     "weak_hgroup_inverse",
     "weak_hgroup_paths",
     "weak_hgroup_via_system",

@@ -137,8 +137,11 @@ def _extras(req: argparse.Namespace, kind: InverseKind) -> dict:
     return {}
 
 
-# unverified values; execute_command verifies each exactly once.  Names are
-# looked up at call time, so a tracer that rebinds them here sees the calls.
+# unverified values; execute_command checks each against its kind once.
+# The weak-mp and weak-hgroup builders also run the core/nilpotent gate, and
+# weak-hgroup the core's HGROUP gate, so a weak-hgroup compute runs
+# check_axioms twice.  Names are looked up at call time, so a tracer that
+# rebinds them here sees the calls.
 _CANDIDATES = {
     InverseKind.MP: lambda a: mp_inverse(a),
     InverseKind.WEAK_MP: lambda a: weak_mp_inverse(a),

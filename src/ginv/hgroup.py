@@ -12,12 +12,17 @@ prescribed image im(b) and kernel ker(c).
 
 The inverse, its two systems and the (b,c) pair all start from one
 full-rank factorization a = f g of rank r.  With F = f*f and G = g g*,
-a+ = g+ f+ for f+ = F^-1 f* and g+ = g* G^-1, so a+ a^3 a+ = g+ N f+
-with the r x r middle N = (g f)^2, and the reverse-order law for
-full-rank factors gives its Moore-Penrose inverse (Greville, "Note on
-the generalized inverse of a matrix product", SIAM Review 8, 1966).  The
-projectors are a a+ = f F^-1 f* and a+ a = g* G^-1 g.  Beyond the one
-n x n elimination, every inverse is r x r or smaller.
+a+ = g+ f+ for f+ = F^-1 f* and g+ = g* G^-1 (the reverse-order law for
+full-rank factors; Greville, "Note on the generalized inverse of a
+matrix product", SIAM Review 8, 1966).  So the projectors are
+a a+ = f F^-1 f* and a+ a = g* G^-1 g, and a+ a^3 a+ = g+ N f+ with the
+r x r middle N = (g f)^2.  The same law gives the Moore-Penrose inverse
+of that product.  If N is invertible (index <= 1), (g+ N f+)+ = f N^-1 g.
+Otherwise factor N = u v with rank s; g+ u has full column rank, v f+
+full row rank, and (g+)* g+ = G^-1, f+ (f+)* = F^-1, so
+(g+ N f+)+ = f F^-1 v* [v F^-1 v*]^-1 [u* G^-1 u]^-1 u* G^-1 g.  Beyond
+the one n x n elimination, every inverse is r x r or smaller, and no
+n x n Moore-Penrose inverse is formed.
 """
 
 from __future__ import annotations
@@ -38,13 +43,7 @@ from .verify import InverseKind, verified
 
 
 def hgroup_candidate(a: Matrix) -> Matrix:
-    """(a+ a^3 a+)+ from one full-rank factorization a = f g; not verified.
-
-    By the reverse-order law for full-rank factors (Greville 1966) the
-    value is f N^-1 g with N = (g f)^2 when N is invertible, and otherwise
-    a product of r x r and s x s inverses; see _hgroup.  No n x n
-    Moore-Penrose inverse is formed.
-    """
+    """(a+ a^3 a+)+ from one full-rank factorization a = f g; not verified."""
     if not a.is_square:
         raise DimensionError("higher-order group inverse needs a square matrix")
     f, g, _ = full_rank_factorize(a)
@@ -79,13 +78,9 @@ def _gram_inverses(f: Matrix, g: Matrix) -> tuple[Matrix, Matrix]:
 
 
 def _hgroup(f: Matrix, g: Matrix, grams: tuple[Matrix, Matrix] | None = None) -> Matrix:
-    """(a+ a^3 a+)+ = (g+ N f+)+ for a = f g, N = (g f)^2, by the reverse-order law.
+    """(a+ a^3 a+)+ for a = f g.
 
-    If N is invertible (index <= 1) the value is f N^-1 g.  Otherwise
-    N = u v with rank s, g+ u has full column rank, v f+ full row rank, and
-    (g+)* g+ = G^-1, f+ (f+)* = F^-1, so the value is
-    f F^-1 v* [v F^-1 v*]^-1 [u* G^-1 u]^-1 u* G^-1 g.  ``grams`` is
-    (F^-1, G^-1) when the caller already holds them.
+    ``grams`` is (F^-1, G^-1) when the caller already holds them.
     """
     gf = g.matmul(f)
     middle = gf.matmul(gf)
@@ -110,9 +105,7 @@ def _projectors(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """p = a a+, q = a+ a and (a+ a^3 a+)+, the higher-order group inverse.
 
     All three come from one full-rank factorization a = f g and its two
-    Gram inverses: p = f F^-1 f*, q = g* G^-1 g, and the inverse by the
-    reverse-order law for full-rank factors (Greville 1966).  No n x n
-    Moore-Penrose inverse is formed.
+    Gram inverses.
     """
     if not a.is_square:
         raise DimensionError("system is defined for square matrices")
@@ -171,9 +164,7 @@ class BcPair(namedtuple("BcPair", "b c")):
 def build_bc_pair(a: Matrix) -> BcPair:
     """b = p_a (a*)^2 and c = (a*)^2 q_a, the pair whose (b,c)-inverse is a^H.
 
-    p_a = a a+ = f F^-1 f* and q_a = a+ a = g* G^-1 g come from one
-    full-rank factorization a = f g, since a+ = g+ f+ for full-rank factors
-    (Greville 1966); no Moore-Penrose inverse is formed.
+    p_a = a a+ and q_a = a+ a come from one full-rank factorization of a.
     """
     if not a.is_square:
         raise DimensionError("pair construction needs a square matrix")

@@ -193,14 +193,6 @@ class Matrix:
             cols=self.rows,
         )
 
-    @property
-    def t(self) -> "Matrix":
-        """Plain transpose (used by vectorization, not by the involution)."""
-        return Matrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
 
 def hstack(*matrices: Matrix) -> Matrix:
     mats = [m for m in matrices]
@@ -229,10 +221,12 @@ def rref(a: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     elimination", Math. Comp. 22, 1968).  Each row is first scaled by the
     lcm of its denominators, which leaves the RREF unchanged.  With pivot p
     in row r and previous pivot d, every other row becomes
-    (p row - row[j] pivot_row) / d, an exact division in Z[i]: each entry
-    stays a minor of the scaled matrix, and every pivot row keeps the
-    current pivot on its diagonal.  Each row is a nonzero multiple of the
-    same row under plain Gauss-Jordan, so the pivots and R agree with it.
+    (p row - row[j] pivot_row) / d, an exact division in Z[i] taken as the
+    integer quotient of conj(d) (p row - row[j] pivot_row) by |d|^2, real
+    d included: each entry stays a minor of the scaled matrix, and every
+    pivot row keeps the current pivot on its diagonal.  Each row is a
+    nonzero multiple of the same row under plain Gauss-Jordan, so the
+    pivots and R agree with it.
     The pivot rows are divided by the last pivot once, at the end.  A
     nonzero remainder would be a bug and raises AssertionError.
     """
@@ -258,21 +252,15 @@ def rref(a: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
         yr, yi = re[r], im[r]
         pr, pi = yr[j], yi[j]
         # x -> (p x - c y) / d is computed as (P x - C y) // n with
-        # P = p conj(d), C = c conj(d) and n = |d|^2, or P = p, C = c and
-        # n = d when d is real
-        if di:
-            n = dr * dr + di * di
-            big_pr, big_pi = pr * dr + pi * di, pi * dr - pr * di
-        else:
-            n, big_pr, big_pi = dr, pr, pi
+        # P = p conj(d), C = c conj(d) and n = |d|^2
+        n = dr * dr + di * di
+        big_pr, big_pi = pr * dr + pi * di, pi * dr - pr * di
         syr, syi = sum(yr), sum(yi)
         for i in range(rows):
             if i == r:
                 continue
             xr, xi = re[i], im[i]
-            cr, ci = xr[j], xi[j]
-            if di:
-                cr, ci = cr * dr + ci * di, ci * dr - cr * di
+            cr, ci = xr[j] * dr + xi[j] * di, xi[j] * dr - xr[j] * di
             if not (cr or ci or big_pi) and big_pr == n:
                 continue  # p = d and nothing to eliminate: the row is unchanged
             qr = [
@@ -431,17 +419,13 @@ def subspace_relate(p: SubspaceDescriptor, q: SubspaceDescriptor, mode: str) -> 
         raise DimensionError("subspaces live in different ambient spaces")
     u, v = p.image_form(), q.image_form()
     if mode == "contains":
-        return _image_contains(u, v)
+        # im(v) <= im(u) iff rank([u|v]) = rank(u)
+        return rank(hstack(u, v)) == rank(u)
     if mode == "equals":
         # im(u) = im(v) iff rank(u) = rank([u|v]) = rank(v)
         both = rank(hstack(u, v))
         return rank(u) == both == rank(v)
     raise ValueError(f"unknown subspace relation {mode!r}")
-
-
-def _image_contains(v: Matrix, u: Matrix) -> bool:
-    """im(u) <= im(v), decided by rank([v|u]) = rank(v)."""
-    return rank(hstack(v, u)) == rank(v)
 
 
 # -- ideal membership ------------------------------------------------------
@@ -471,17 +455,6 @@ def kronecker(p: Matrix, q: Matrix) -> Matrix:
                 row.extend(pij * q[k, l] for l in range(q.cols))
             out.append(row)
     return Matrix(out, cols=p.cols * q.cols)
-
-
-def vec(m: Matrix) -> Matrix:
-    """Column-major vectorization, so vec(a*r*b) = (b^T (x) a) vec(r)."""
-    return Matrix.column([m[i, j] for j in range(m.cols) for i in range(m.rows)])
-
-
-def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
-    return Matrix(
-        [[v[j * rows + i, 0] for j in range(cols)] for i in range(rows)], cols=cols
-    )
 
 
 def ideal_membership(relation: str, x: Matrix, a: Matrix) -> MembershipWitness:

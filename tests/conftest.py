@@ -1,7 +1,8 @@
 """Shared fixtures: canonical matrices, the generated corpus, and
 independent oracles (minor-expansion rank, Laplace determinants, brute
-Penrose checks, Gauss-Jordan over Fraction pairs, the two-MP formula for
-the higher-order group inverse) that do not reuse the code under test."""
+Penrose checks, Gauss-Jordan over Fraction pairs, Kronecker
+vectorization, the two-MP formula for the higher-order group inverse)
+that do not reuse the code under test."""
 
 from __future__ import annotations
 
@@ -60,10 +61,7 @@ def calls(monkeypatch):
 
     Each function is rebound in every ginv.* namespace that holds it,
     because the modules import each other's functions by name; __pow__ is
-    rebound on the class.  A call made inside
-    another call of the same function (the weak-hgroup system's
-    Moore-Penrose sub-test inside check_axioms) belongs to the outer call
-    and is not counted again.
+    rebound on the class.  Every call is counted, nested ones included.
     """
     originals = {
         "check_axioms": ginv.verify.check_axioms,
@@ -77,15 +75,9 @@ def calls(monkeypatch):
     tally = dict.fromkeys([*originals, "pow"], 0)
 
     def counted(name, original):
-        active = []
-
         def wrapper(*args, **kwargs):
-            tally[name] += not active
-            active.append(None)
-            try:
-                return original(*args, **kwargs)
-            finally:
-                active.pop()
+            tally[name] += 1
+            return original(*args, **kwargs)
 
         return wrapper
 
@@ -229,6 +221,23 @@ def reference_rref(a: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
         if r == a.rows:
             break
     return Matrix(data, cols=a.cols), r, tuple(pivots)
+
+
+def transpose(m: Matrix) -> Matrix:
+    """Plain transpose, without conjugation."""
+    return Matrix([list(m.col(j)) for j in range(m.cols)], cols=m.rows)
+
+
+def vec(m: Matrix) -> Matrix:
+    """Column-major vectorization, so vec(a r b) = (b^T (x) a) vec(r)."""
+    return Matrix.column([m[i, j] for j in range(m.cols) for i in range(m.rows)])
+
+
+def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
+    """The rows x cols matrix m with vec(m) = v."""
+    return Matrix(
+        [[v[j * rows + i, 0] for j in range(cols)] for i in range(rows)], cols=cols
+    )
 
 
 def reference_hgroup(a: Matrix) -> Matrix:

@@ -28,12 +28,11 @@ from ginv import (
     solve_px_system,
     subspace_relate,
     two_inverse_prescribed,
-    unvec,
 )
 from ginv.hgroup import _constrained_solve, hgroup_candidate
 from ginv.scalar import GaussianRational as GR
 
-from conftest import POOL, reference_hgroup, small_random_matrices
+from conftest import POOL, reference_hgroup, small_random_matrices, transpose, unvec
 
 I = GR(0, 1)
 
@@ -167,7 +166,7 @@ class TestHgroupInverse:
         for a in (fx.X, fx.A):
             x = hgroup_inverse(a)
             a2 = a.matmul(a)
-            kernel = nullspace_basis(kronecker(a2.t, a2))
+            kernel = nullspace_basis(kronecker(transpose(a2), a2))
             assert kernel
             for direction in kernel:
                 h = unvec(direction, a.rows, a.rows)

@@ -23,13 +23,19 @@ from ginv import (
     rref,
     solve_right,
     subspace_relate,
-    unvec,
-    vec,
 )
 from ginv.matrix import index_chain
 from ginv.scalar import GaussianRational as GR
 
-from conftest import POOL, rank_by_minors, reference_rref, small_random_matrices
+from conftest import (
+    POOL,
+    rank_by_minors,
+    reference_rref,
+    small_random_matrices,
+    transpose,
+    unvec,
+    vec,
+)
 
 I = GR(0, 1)
 
@@ -161,6 +167,9 @@ def elimination_inputs(draw, max_dim=5):
     return grid(rows, inner).matmul(grid(inner, cols))
 
 
+GRAM_FACTOR = Matrix([[1, 1 + I, 0], [I, 2, 1 - I], [1, 0, 2 * I], [0, 1, 1]])
+
+
 class TestRref:
     @given(elimination_inputs())
     @settings(max_examples=150, deadline=None)
@@ -170,7 +179,12 @@ class TestRref:
     @example(Matrix([[0, 1, 2], [1, 0, 3]]))  # the first column needs a row swap
     # complex pivots 1+i and then 2-i: later rows divide by a non-real pivot
     @example(Matrix([[1 + I, 2, 1, 0], [1 - I, 3, 2 + I, 1], [2, 1 + I, 5, F(1, 2)]]))
+    @example(Matrix([[2 * I, 1, 0], [1, 1 + I, 3], [I, 2, 1 - I]]))  # imaginary pivot 2i
     @example(Matrix([[F(1, 999983), F(2, 10**6) + I], [F(7, 999979), F(1, 3)]]))
+    # the Hermitian Gram matrix f*f beside I: every previous pivot is a
+    # leading principal minor of f*f, so real, while the entries are not
+    @example(hstack(GRAM_FACTOR.h.matmul(GRAM_FACTOR), Matrix.identity(3)))
+    @example(Matrix([[-2, 1, 3], [4, 1, 5], [1, 3, 2]]))  # real, previous pivot -2
     def test_agrees_with_reference_gauss_jordan(self, a):
         assert rref(a) == reference_rref(a)
 
@@ -366,8 +380,8 @@ class TestMembership:
         x = draw() if shape == "free" else b.matmul(r) if shape == "b r" else r.matmul(c)
         # reference: x = b r' x and x = x r' c as n^2 x n^2 linear systems in r'
         for relation, system, fixed, product in (
-            ("x_in_bRx", kronecker(x.t, b), b, lambda w: b.matmul(w)),
-            ("x_in_xRc", kronecker(c.t, x), c, lambda w: w.matmul(c)),
+            ("x_in_bRx", kronecker(transpose(x), b), b, lambda w: b.matmul(w)),
+            ("x_in_xRc", kronecker(transpose(c), x), c, lambda w: w.matmul(c)),
         ):
             try:
                 solve_right(system, vec(x))
@@ -401,7 +415,7 @@ class TestVectorization:
         )
         a, r, b = draw(), draw(), draw()
         lhs = vec(a.matmul(r).matmul(b))
-        rhs = kronecker(b.t, a).matmul(vec(r))
+        rhs = kronecker(transpose(b), a).matmul(vec(r))
         assert lhs == rhs
         assert unvec(vec(r), n, n) == r
 
