@@ -7,6 +7,7 @@ that do not reuse the code under test."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction as F
@@ -17,6 +18,7 @@ import ginv.matrix
 import ginv.pinv
 import ginv.verify
 from ginv import Matrix, mp_inverse
+from ginv.cli import matrix_payload
 from ginv.scalar import GaussianRational as GR
 
 I = GR(0, 1)
@@ -90,6 +92,12 @@ def calls(monkeypatch):
                     monkeypatch.setattr(module, attr, wrapper)
     monkeypatch.setattr(Matrix, "__pow__", counted("pow", Matrix.__pow__))
     return tally
+
+
+def write_doc(path, matrix: Matrix) -> str:
+    """Write matrix as a CLI document at path; returns the path as text."""
+    path.write_text(json.dumps(matrix_payload(matrix)))
+    return str(path)
 
 
 def make_corpus(count_per_style: int = 180, seed: int = CORPUS_SEED) -> list[Matrix]:

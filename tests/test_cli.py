@@ -16,6 +16,8 @@ from ginv import DimensionError, Matrix, ParseError, mp_inverse
 from ginv.cli import emit_document, main, matrix_payload, parse_document
 from ginv.scalar import GaussianRational as GR
 
+from conftest import write_doc
+
 I = GR(0, 1)
 # the directory holding the imported ginv package, for child interpreters
 PACKAGE_ROOT = str(Path(ginv.__file__).resolve().parent.parent)
@@ -31,11 +33,6 @@ A_DOC = json.dumps(
         ],
     }
 )
-
-
-def write_doc(path, matrix):
-    path.write_text(json.dumps(matrix_payload(matrix)))
-    return str(path)
 
 
 @pytest.fixture
