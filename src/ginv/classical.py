@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DimensionError, NotGroupInvertibleError
+from .errors import NotGroupInvertibleError
 from .matrix import Matrix, index_chain, invert, rank
 from .pinv import mp_inverse
 from .verify import InverseKind, core_nil_checks, gate, verified
@@ -23,8 +23,6 @@ def _cline(k: int, f: Matrix, m: Matrix, g: Matrix) -> Matrix:
 
 def group_candidate(a: Matrix) -> Matrix:
     """The Drazin inverse f m^-(k+1) g of an index <= 1 matrix; not verified."""
-    if not a.is_square:
-        raise DimensionError("group inverse is defined for square matrices")
     k, f, m, g = index_chain(a)
     if k > 1:
         raise NotGroupInvertibleError(
@@ -40,8 +38,6 @@ def group_inverse(a: Matrix) -> Matrix:
 
 def drazin_candidate(a: Matrix) -> Matrix:
     """f m^-(k+1) g from index_chain(a) = (k, f, m, g); not verified."""
-    if not a.is_square:
-        raise DimensionError("Drazin inverse is defined for square matrices")
     return _cline(*index_chain(a))
 
 
@@ -62,8 +58,6 @@ class CoreEpDecomposition(namedtuple("CoreEpDecomposition", "core nil index proj
 
 
 def core_ep_decompose(a: Matrix) -> CoreEpDecomposition:
-    if not a.is_square:
-        raise DimensionError("decomposition is defined for square matrices")
     k, f, _, _ = index_chain(a)
     projector = f.matmul(invert(f.h.matmul(f))).matmul(f.h)
     core = projector.matmul(a)

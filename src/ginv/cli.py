@@ -243,23 +243,21 @@ def main(argv=None) -> int:
     try:
         req = _build_parser().parse_args(argv)
         report, code = execute_command(req)
+        text = emit_document(report)
+        if req.out:
+            try:
+                with open(req.out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write {req.out}: {exc.strerror}") from exc
+        else:
+            sys.stdout.write(text)
     except UsageError as exc:
         print(f"ginv: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, DimensionError) as exc:
         print(f"ginv: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-    text = emit_document(report)
-    if req.out:
-        try:
-            with open(req.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"ginv: usage error: cannot write {req.out}: {exc.strerror}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -36,12 +36,11 @@ class Matrix:
             tuple(self._entry(value) for value in row) for row in entries
         )
         self.rows = len(data)
-        if data:
-            self.cols = len(data[0])
-            if any(len(row) != self.cols for row in data):
-                raise DimensionError("ragged rows in matrix literal")
-        else:
-            self.cols = 0 if cols is None else cols
+        self.cols = len(data[0]) if data else cols or 0
+        if any(len(row) != self.cols for row in data):
+            raise DimensionError("ragged rows in matrix literal")
+        if cols is not None and cols != self.cols:
+            raise DimensionError(f"rows have {self.cols} entries, not cols={cols}")
         self._data = data
 
     @staticmethod
@@ -104,48 +103,21 @@ class Matrix:
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: object, op, message: str) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.shape != other.shape:
-            raise DimensionError(f"cannot add {self.shape} and {other.shape}")
+            raise DimensionError(message.format(self.shape, other.shape))
         return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ],
+            [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)],
             cols=self.cols,
         )
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, GaussianRational.__add__, "cannot add {} and {}")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise DimensionError(f"cannot subtract {other.shape} from {self.shape}")
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ],
-            cols=self.cols,
-        )
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(GaussianRational(-1))
-
-    def __mul__(self, other: object) -> "Matrix":
-        if isinstance(other, Matrix):
-            return self.matmul(other)
-        z = _coerce(other)
-        if z is None:
-            return NotImplemented
-        return self.scale(z)
-
-    def __rmul__(self, other: object) -> "Matrix":
-        z = _coerce(other)
-        if z is None:
-            return NotImplemented
-        return self.scale(z)
+        return self._entrywise(other, GaussianRational.__sub__, "cannot subtract {1} from {0}")
 
     def scale(self, z: object) -> "Matrix":
         z = Matrix._entry(z)

@@ -44,6 +44,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        for part in (re, im):
+            if not isinstance(part, _RATIONAL):
+                raise TypeError(f"cannot use {part!r} as a rational part")
         self.re = Fraction(re)
         self.im = Fraction(im)
 
@@ -127,7 +130,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # equal to a rational, so hashed like one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational._raw(self.re, -self.im)

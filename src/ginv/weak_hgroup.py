@@ -25,34 +25,30 @@ from .errors import (
     PreconditionViolatedError,
     VerificationError,
 )
-from .hgroup import ConstrainedSolveResult, hgroup_candidate, hgroup_inverse
+from .hgroup import ConstrainedSolveResult, hgroup_inverse
 from .matrix import Matrix
 from .pinv import mp_inverse
-from .verify import InverseKind, _equation, gate, verified, weak_system_checks
+from .verify import _equation, gate, weak_system_checks
 
 
 def weak_hgroup_inverse(a: Matrix) -> Matrix:
     """Higher-order group inverse of the core part of a."""
-    if not a.is_square:
-        raise DimensionError("weak higher-order group inverse needs a square matrix")
     return hgroup_inverse(core_ep_decompose(a).core)
 
 
 def weak_hgroup_paths(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """The three computation routes, for exact cross-checking.
 
-    (core^H,  (w a^3 w)+ with w = weak MP inverse,  hgroup_candidate(core)).
-    The third is (core+ core^3 core+)+ from one full-rank factorization of
-    the core, and the first is the third verified against the HGROUP system
-    of the core, so the two always agree; the second agrees exactly on the
-    aligned class nil * core* = 0.
+    (hgroup_inverse(core),  (w a^3 w)+ with w = weak MP inverse,
+    hgroup_inverse(core)).  Routes 1 and 3 are the one verified value
+    (core+ core^3 core+)+; route 2 agrees with it exactly on the aligned
+    class nil * core* = 0.
     """
     d = core_ep_decompose(a)
-    via_formula = hgroup_candidate(d.core)
-    via_core = verified(InverseKind.HGROUP, d.core, via_formula)
+    via_core = hgroup_inverse(d.core)
     w = mp_inverse(d.core)
     via_weak_mp = mp_inverse(w.matmul(a**3).matmul(w))
-    return via_core, via_weak_mp, via_formula
+    return via_core, via_weak_mp, via_core
 
 
 def weak_hgroup_via_system(a: Matrix) -> Matrix:
@@ -63,8 +59,6 @@ def weak_hgroup_via_system(a: Matrix) -> Matrix:
     checked exactly; on the non-aligned inputs where the formula value
     fails the system, VerificationError names every failed condition.
     """
-    if not a.is_square:
-        raise DimensionError("system is defined for square matrices")
     w = weak_mp_inverse(a)
     x = mp_inverse(w.matmul(a**3).matmul(w))
     gate(weak_system_checks(a, x, w))
@@ -79,8 +73,6 @@ def solve_two_sided_system(a: Matrix) -> ConstrainedSolveResult:
     one solution, m+ a m+.  That one candidate is checked against the three
     equations, and InconsistentSystemError names every equation it fails.
     """
-    if not a.is_square:
-        raise DimensionError("system is defined for square matrices")
     w = weak_mp_inverse(a)
     md = mp_inverse(w.matmul(a**3).matmul(w))
     x = md.matmul(a).matmul(md)

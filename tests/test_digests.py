@@ -62,14 +62,14 @@ DIGESTS = {
     "cli decompose": "6a162d9e4f5b9dae",
     "cli malformed": "fa7547ebc3ed0e4c",
     "cli non-square bc": "2e109754de7a16e9",
-    "cli non-square drazin": "aa7a7d67be73e014",
-    "cli non-square group": "c99c1942dfb8ce81",
+    "cli non-square drazin": "b79c10774410b8cd",
+    "cli non-square group": "b79c10774410b8cd",
     "cli non-square hgroup": "863d3ae65a745220",
     "cli non-square mp": "4f495645c0b8c27f",
     "cli non-square two": "d2df6e3ff0292e45",
-    "cli non-square weak-hgroup": "791fd8f9dc6bd66a",
-    "cli non-square weak-mp": "72f4708fe9833e9c",
-    "cli non-square decompose": "72f4708fe9833e9c",
+    "cli non-square weak-hgroup": "b79c10774410b8cd",
+    "cli non-square weak-mp": "b79c10774410b8cd",
+    "cli non-square decompose": "b79c10774410b8cd",
 }
 
 

@@ -80,6 +80,17 @@ class TestAlgebra:
         assert f.matmul(g) == Matrix.zeros(2, 3)
         assert rank(f) == 0
 
+    def test_no_operator_for_product_or_scaling(self, fx):
+        # matmul and scale are the one spelling of the product and of scaling
+        for spell in (lambda: fx.A * fx.A, lambda: 2 * fx.A, lambda: fx.A * 2, lambda: -fx.A):
+            with pytest.raises(TypeError):
+                spell()
+
+    def test_cols_must_match_the_rows(self):
+        with pytest.raises(DimensionError):
+            Matrix([[1, 2]], cols=5)
+        assert Matrix([], cols=3).shape == (0, 3)
+
 
 def grid(rows, cols, fill=0):
     """rows x cols matrix built by the constructor alone, not by Matrix.zeros."""

@@ -1,5 +1,6 @@
 """Scalar field, conjugation, and the token grammar."""
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -56,6 +57,24 @@ class TestArithmetic:
         assert (a - b) + b == a
         if b:
             assert (a / b) * b == a
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("part", [0.1, "1/2", Decimal("0.5"), 1j, None], ids=repr)
+    def test_refuses_a_non_rational_part(self, part):
+        with pytest.raises(TypeError):
+            GR(part)
+        with pytest.raises(TypeError):
+            GR(0, part)
+
+    @pytest.mark.parametrize("part", [3, True, F(-2, 3)], ids=repr)
+    def test_accepts_int_bool_and_fraction(self, part):
+        assert GR(part, part) == GR(F(part), F(part))
+
+    def test_hash_agrees_with_equality(self):
+        assert len({GR(1), 1, F(1)}) == 1
+        assert {F(1, 2): "half"}[GR(F(1, 2))] == "half"
+        assert hash(GR(1, 1)) == hash(GR(F(2, 2), F(3, 3)))
 
 
 class TestConjugation:

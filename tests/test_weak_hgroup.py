@@ -71,9 +71,9 @@ class TestThreePaths:
             assert p1 == p3 == hgroup_inverse(core_ep_decompose(a).core)
 
     def test_derives_each_quantity_once(self, fx, calls):
-        # w = core+ and (w a^3 w)+; the formula route is hgroup_candidate(core),
-        # which factors the core and forms no Moore-Penrose inverse; one HGROUP
-        # verification
+        # w = core+ and (w a^3 w)+; routes 1 and 3 are hgroup_inverse(core),
+        # which factors the core, forms no Moore-Penrose inverse and runs one
+        # HGROUP verification
         weak_hgroup_paths(fx.A)
         assert calls["mp_inverse"] == 2
         assert calls["check_axioms"] == 1
