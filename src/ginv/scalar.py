@@ -130,7 +130,7 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # equal to a rational, so hashed like one
+        # with no imaginary part the value equals its real part, so hashes like it
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def conjugate(self) -> "GaussianRational":

@@ -100,6 +100,14 @@ def write_doc(path, matrix: Matrix) -> str:
     return str(path)
 
 
+PAIR_FLAGS = {"bc": ("--b", "--c"), "two": ("--t", "--s")}
+
+
+def pair_args(kind: str, path: str) -> list[str]:
+    """The CLI flags naming path as both fixed operands of a bc or two request."""
+    return [arg for flag in PAIR_FLAGS.get(kind, ()) for arg in (flag, path)]
+
+
 def make_corpus(count_per_style: int = 180, seed: int = CORPUS_SEED) -> list[Matrix]:
     """Deterministic square test corpus, dims 1-5, entries from POOL.
 

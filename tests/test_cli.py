@@ -16,7 +16,7 @@ from ginv import DimensionError, Matrix, ParseError, mp_inverse
 from ginv.cli import emit_document, main, matrix_payload, parse_document
 from ginv.scalar import GaussianRational as GR
 
-from conftest import write_doc
+from conftest import pair_args, write_doc
 
 I = GR(0, 1)
 # the directory holding the imported ginv package, for child interpreters
@@ -317,18 +317,11 @@ COMPUTE_CALLS = {
     "bc": 1,
     "two": 1,
 }
-PAIR_FLAGS = {"bc": ("--b", "--c"), "two": ("--t", "--s")}
-
-
-def _pair_args(kind, generator):
-    return [arg for flag in PAIR_FLAGS.get(kind, ()) for arg in (flag, generator)]
-
-
 class TestVerificationGate:
     @pytest.mark.parametrize("kind", sorted(COMPUTE_CALLS))
     def test_compute_verifies_once(self, kind, docs, tmp_path, fx, calls):
         gen = write_doc(tmp_path / "gen.json", fx.X.scale(3))
-        code = main(["compute", "--kind", kind, "--a", docs["x"], *_pair_args(kind, gen)])
+        code = main(["compute", "--kind", kind, "--a", docs["x"], *pair_args(kind, gen)])
         assert code == 0
         assert calls["check_axioms"] == COMPUTE_CALLS[kind]
         assert calls["kronecker"] == 0
@@ -339,7 +332,7 @@ class TestVerificationGate:
         candidate = write_doc(tmp_path / "z.json", fx.Z)
         main(
             ["verify", "--kind", kind, "--a", docs["x"], "--candidate", candidate]
-            + _pair_args(kind, gen)
+            + pair_args(kind, gen)
         )
         assert calls["check_axioms"] == 1
 
@@ -348,7 +341,7 @@ class TestVerificationGate:
     )
     def test_failing_candidate_is_reported(self, kind, failed, docs, capsys):
         # a = b = c = [[0,1],[0,0]]: the candidate b (c a b)+ c is 0
-        code = main(["compute", "--kind", kind, "--a", docs["n"], *_pair_args(kind, docs["n"])])
+        code = main(["compute", "--kind", kind, "--a", docs["n"], *pair_args(kind, docs["n"])])
         report = json.loads(capsys.readouterr().out)
         assert code == 1
         assert report["ok"] is False

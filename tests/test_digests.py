@@ -16,7 +16,7 @@ from ginv import BcPair, InverseKind, Matrix, check_axioms, image_of, kernel_of,
 from ginv.cli import main
 from ginv.matrix import full_rank_factorize, nullspace_basis
 
-from conftest import POOL, write_doc
+from conftest import POOL, pair_args, write_doc
 
 DIGESTS = {
     "rref": "a306561df492f35d",
@@ -155,16 +155,11 @@ def _digest(texts):
     return hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
 
 
-def _operands(kind, path):
-    flags = {"bc": ("--b", "--c"), "two": ("--t", "--s")}.get(kind, ())
-    return [arg for flag in flags for arg in (flag, path)]
-
-
 def cli_digests(mats, tmp_path, capsys):
     seen = {}
 
-    def run(key, *argv):
-        code = main(list(argv))
+    def run(key, argv):
+        code = main(argv)
         captured = capsys.readouterr()
         text = f"{code}\n{captured.out}\n{captured.err}".replace(str(tmp_path), "TMP")
         seen.setdefault(key, []).append(text)
@@ -173,7 +168,8 @@ def cli_digests(mats, tmp_path, capsys):
         a_path = write_doc(tmp_path / f"a{i}.json", a)
         an_path = write_doc(tmp_path / f"an{i}.json", _pair(a)[0])
         for kind in KINDS:
-            run(f"cli compute {kind}", "compute", "--kind", kind, "--a", a_path, *_operands(kind, an_path))
+            argv = ["compute", "--kind", kind, "--a", a_path, *pair_args(kind, an_path)]
+            run(f"cli compute {kind}", argv)
         for kind, route in VERIFY_KINDS.items():
             try:
                 good = route(a)
@@ -182,17 +178,19 @@ def cli_digests(mats, tmp_path, capsys):
             bump = Matrix([[int(r == c == 0) for c in range(a.cols)] for r in range(a.rows)])
             for label, cand in (("good", good), ("perturbed", good + bump)):
                 c_path = write_doc(tmp_path / f"{kind}-{label}{i}.json", cand)
-                run(f"cli verify {kind}", "verify", "--kind", kind, "--a", a_path, "--candidate", c_path)
-        run("cli decompose", "decompose", "--a", a_path)
+                argv = ["verify", "--kind", kind, "--a", a_path, "--candidate", c_path]
+                run(f"cli verify {kind}", argv)
+        run("cli decompose", ["decompose", "--a", a_path])
 
     bad = tmp_path / "malformed.json"
     bad.write_text('{"rows": 2, "cols": 2, "entries": [["1", "1+j"], ["0", "0"]]}')
-    run("cli malformed", "compute", "--kind", "mp", "--a", str(bad))
+    run("cli malformed", ["compute", "--kind", "mp", "--a", str(bad)])
 
     wide = write_doc(tmp_path / "wide.json", Matrix([[1, 0, 1], [0, 1, 1]]))
     for kind in KINDS:
-        run(f"cli non-square {kind}", "compute", "--kind", kind, "--a", wide, *_operands(kind, wide))
-    run("cli non-square decompose", "decompose", "--a", wide)
+        argv = ["compute", "--kind", kind, "--a", wide, *pair_args(kind, wide)]
+        run(f"cli non-square {kind}", argv)
+    run("cli non-square decompose", ["decompose", "--a", wide])
     return {key: _digest(texts) for key, texts in seen.items()}
 
 

@@ -19,7 +19,7 @@ from ginv import (
 )
 from ginv.cli import main
 
-from conftest import write_doc
+from conftest import pair_args, write_doc
 
 SHAPES = [(2, 3), (3, 2)]
 
@@ -93,20 +93,15 @@ def doc(request, tmp_path):
     }
 
 
-def _operands(kind, path):
-    flags = {"bc": ("--b", "--c"), "two": ("--t", "--s")}.get(kind, ())
-    return [arg for flag in flags for arg in (flag, path)]
-
-
 @pytest.mark.parametrize("kind", CLI_KINDS)
 def test_cli_compute_refuses(kind, doc, capsys):
-    _refused(["compute", "--kind", kind, "--a", doc["a"], *_operands(kind, doc["a"])], capsys)
+    _refused(["compute", "--kind", kind, "--a", doc["a"], *pair_args(kind, doc["a"])], capsys)
 
 
 @pytest.mark.parametrize("kind", CLI_KINDS)
 def test_cli_verify_refuses(kind, doc, capsys):
     argv = ["verify", "--kind", kind, "--a", doc["a"], "--candidate", doc["candidate"]]
-    _refused(argv + _operands(kind, doc["a"]), capsys)
+    _refused(argv + pair_args(kind, doc["a"]), capsys)
 
 
 def test_cli_decompose_refuses(doc, capsys):
